@@ -4,8 +4,7 @@
 
 Measures how fast the simulator itself runs — engine events/sec on both
 scheduler cores, scheduler-internal statistics (front-slot absorption,
-overflow spills, timer-pool hit rate), the batched-delivery A/B
-(``REPRO_SIM_BATCH``), the checkpointed warm-suffix replay, the
+overflow spills, timer-pool hit rate), the checkpointed warm-suffix replay, the
 wall-clock of regenerating every paper figure, and the cold/warm cost
 of a cached sweep — and records the numbers in ``BENCH_perf.json`` at
 the repository root so the perf trajectory is tracked from PR to PR.
@@ -122,7 +121,7 @@ def engine_events_per_sec(n_events: int = 1_000_000, repeats: int = 5) -> dict:
     the fastest round an unearned win, while the paired median only
     credits differences both cores saw under the same conditions.
     """
-    from repro.sim import batch, engine
+    from repro.sim import engine
 
     active = engine.current_core()
     kinds = {
@@ -131,17 +130,11 @@ def engine_events_per_sec(n_events: int = 1_000_000, repeats: int = 5) -> dict:
         "process": lambda: _process_rate(n_events),
     }
     rounds = {core: {kind: [] for kind in kinds} for core in engine.CORES}
-    # Batching off: these chains hit no registered kernel, so the only
-    # effect would be the batched loop's per-entry kernel lookup — and
-    # the point of this section is the scalar dispatch time series,
-    # which must stay comparable across PRs.  The batched delivery path
-    # has its own section (``batched``).
-    with batch.use_batching(False):
-        for _ in range(repeats):
-            for core in engine.CORES:
-                with engine.use_core(core):
-                    for kind, measure in kinds.items():
-                        rounds[core][kind].append(measure())
+    for _ in range(repeats):
+        for core in engine.CORES:
+            with engine.use_core(core):
+                for kind, measure in kinds.items():
+                    rounds[core][kind].append(measure())
     cores = {
         core: {
             "callback_events_per_sec": round(max(rates["callback"])),
@@ -216,6 +209,7 @@ def scheduler_stats(n_events: int = 50_000) -> dict:
         sim.schedule_callback(1.0, tick)
         sim.run()
         stats = sim.stats()
+    del stats["batch_fused"]
     total = max(1, stats["schedules"])
     stats["front_absorption"] = round(stats["front_inserts"] / total, 3)
     pool_ops = stats["timer_pool_hits"] + stats["timer_pool_misses"]
@@ -309,70 +303,6 @@ def rtt_percentiles(n: int = 200) -> dict:
             "p99": round(summary["p99"], 3),
             "p999": round(summary["p999"], 3),
         },
-    }
-
-
-def batched_throughput(
-    n_trains: int = 1500, cells_per_train: int = 86, repeats: int = 5
-) -> dict:
-    """Effective events/s of the delivery pipeline, batched vs scalar.
-
-    A fig4-class workload — 86-cell trains, one 4 KB AAL5 PDU each —
-    through the switch into a receive FIFO (see
-    :func:`repro.bench.micro.build_train_pipeline`).  Both modes are
-    checked for bit-identical outcomes right here, then timed in
-    paired rounds; the reported speedup is the median of the per-round
-    scalar/batched ratios (same rationale as the engine core A/B).
-    ``effective`` events/s counts the scalar-equivalent events the
-    batched run replayed (``events_processed`` is identical by
-    contract), so the two rates are directly comparable.
-    """
-    from repro.bench import micro
-    from repro.sim import batch
-
-    def run(on: bool):
-        with batch.use_batching(on):
-            sim, col = micro.build_train_pipeline(
-                n_trains=n_trains, cells_per_train=cells_per_train
-            )
-            t0 = time.perf_counter()
-            sim.run()
-            wall = time.perf_counter() - t0
-        return sim, col, wall
-
-    # Warm-up round doubles as the identity check.
-    s0, c0, _ = run(False)
-    s1, c1, _ = run(True)
-    identical = (
-        s0.events_processed == s1.events_processed
-        and s0.now == s1.now
-        and len(c0.input_fifo.items) == len(c1.input_fifo.items)
-        and c0.input_fifo_drops == c1.input_fifo_drops
-    )
-    scalar_walls, batched_walls, ratios = [], [], []
-    for _ in range(repeats):
-        _, _, w0 = run(False)
-        _, _, w1 = run(True)
-        scalar_walls.append(w0)
-        batched_walls.append(w1)
-        ratios.append(w0 / w1)
-    ratios.sort()
-    mid = len(ratios) // 2
-    median = (
-        ratios[mid] if len(ratios) % 2 else (ratios[mid - 1] + ratios[mid]) / 2
-    )
-    events = s1.events_processed
-    stats = s1.stats()
-    return {
-        "scenario": f"train_pipeline({n_trains}x{cells_per_train})",
-        "events": events,
-        "identical": identical,
-        "best_of": repeats,
-        "scalar_events_per_sec": round(events / min(scalar_walls)),
-        "batched_events_per_sec": round(events / min(batched_walls)),
-        "batch_batches": stats["batch_batches"],
-        "batch_fused": stats["batch_fused"],
-        "speedup": round(median, 3),
     }
 
 
@@ -568,9 +498,6 @@ def main(argv=None) -> int:
         "scheduler": scheduler_stats(),
         "obs": obs_profile(repeats=repeats),
         "percentiles": rtt_percentiles(),
-        "batched": batched_throughput(
-            n_trains=500 if args.quick else 1500, repeats=repeats
-        ),
         "warm_suffix_replay": warm_suffix_replay(
             repeats=2 if args.quick else 3
         ),
@@ -596,12 +523,6 @@ def main(argv=None) -> int:
     pct = report["percentiles"]["fig3_rtt_us"]
     print(f"rtt tails [fig3 mixed, n={pct['count']}]: p50 {pct['p50']}us, "
           f"p99 {pct['p99']}us, p999 {pct['p999']}us")
-    bat = report["batched"]
-    print(f"batched [{bat['scenario']}]: "
-          f"{bat['batched_events_per_sec']:,} events/s vs "
-          f"{bat['scalar_events_per_sec']:,} scalar, "
-          f"{bat['speedup']}x (identical={bat['identical']}, "
-          f"{bat['batch_fused']} fused)")
     warm = report["warm_suffix_replay"]
     if warm["fork_available"]:
         print(f"warm replay [{warm['scenario']}]: cold {warm['cold_wall_s']}s"

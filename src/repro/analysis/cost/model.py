@@ -1,7 +1,7 @@
 """The static cost model: AST nodes -> weighted cost classes.
 
-Each cost class approximates one interpreter overhead the vectorized
-batch engine could amortize (or that a targeted fix removes outright):
+Each cost class approximates one per-event interpreter overhead on the
+hot path:
 
 ========== ======  =================================================
 class      weight  what it charges

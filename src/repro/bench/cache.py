@@ -7,7 +7,7 @@ module gives :func:`repro.bench.parallel.parallel_map` a persistent
 memo keyed by *content*, not by time:
 
 ``key = sha256(fn identity || canonical(params) || source digest ||
-core || shards || batch tag || checkpoint schema)``
+core || shards || numpy version || checkpoint schema)``
 
 * **fn identity** -- module + qualname of the sweep-point function.
 * **canonical(params)** -- a stable rendering of the point's arguments
@@ -30,6 +30,7 @@ observe.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -152,9 +153,21 @@ def _fn_source_digest(fn: Callable) -> str:
         return ""
 
 
+@functools.lru_cache(maxsize=None)
+def numpy_tag() -> str:
+    """The installed numpy version, read from package metadata so
+    computing a key never imports numpy itself."""
+    from importlib import metadata
+
+    try:
+        return "numpy=" + metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        return "numpy=none"
+
+
 def cache_key(fn: Callable, item: Any) -> str:
     from repro.bench import checkpoint
-    from repro.sim import batch, engine
+    from repro.sim import engine
 
     h = hashlib.sha256()
     h.update(f"{fn.__module__}.{fn.__qualname__}".encode())
@@ -170,12 +183,11 @@ def cache_key(fn: Callable, item: Any) -> str:
     # boundary would quietly hide the very divergence the A/B runs
     # exist to catch.
     h.update(b"\0shards=%d" % engine.shard_count())
-    # Batch mode and the numpy version it kernels against are execution
-    # configuration for the same reason, and the checkpoint schema
-    # version retires every entry written under an older snapshot
-    # layout in one stroke.
+    # The Split-C apps compute with numpy, so its version is part of
+    # the configuration too, and the checkpoint schema version retires
+    # every entry written under an older snapshot layout in one stroke.
     h.update(b"\0")
-    h.update(batch.cache_tag().encode())
+    h.update(numpy_tag().encode())
     h.update(b"\0ckpt=%d" % checkpoint.CHECKPOINT_SCHEMA)
     return h.hexdigest()
 

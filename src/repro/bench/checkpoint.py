@@ -33,7 +33,7 @@ timer is outstanding restores the *same* :class:`TimerHandle` objects,
 so restoring twice into the same process aliases their cancellation
 state; micro-statistics (near/far push counters) are not part of the
 snapshot and restart from zero; and the restored world re-reads engine
-configuration (core, batching) from the restoring process, which is a
+configuration (core, shard count) from the restoring process, which is a
 feature for A/B work and a foot-gun otherwise.  See DESIGN.md §12.
 """
 
@@ -140,7 +140,7 @@ def snapshot_key(tag: str, params: Any) -> str:
     model sources, engine configuration — plus :data:`CHECKPOINT_SCHEMA`
     so old snapshot layouts are never deserialized by new code.
     """
-    from repro.sim import batch, engine
+    from repro.sim import engine
 
     h = hashlib.sha256()
     h.update(tag.encode())
@@ -152,7 +152,7 @@ def snapshot_key(tag: str, params: Any) -> str:
     h.update(engine.current_core().encode())
     h.update(b"\0shards=%d" % engine.shard_count())
     h.update(b"\0")
-    h.update(batch.cache_tag().encode())
+    h.update(cache.numpy_tag().encode())
     h.update(b"\0ckpt=%d" % CHECKPOINT_SCHEMA)
     return h.hexdigest()
 

@@ -60,8 +60,6 @@ import heapq
 import os
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.sim import batch as _batch
-
 #: Schedule-order instrumentation (installed by :mod:`repro.analysis.race`).
 #: ``_monitor_factory`` builds one ShadowScheduler monitor per Simulator
 #: created while armed; ``access_hook`` is called by state objects
@@ -93,17 +91,6 @@ def set_instrumentation(
     _monitor_factory = monitor_factory
     access_hook = access
     _monitor_shard_aware = shard_aware if monitor_factory is not None else False
-
-
-def _batch_active() -> bool:
-    """Should a run starting now use the batched calendar loops?
-
-    Armed instrumentation (REPRO_RACE / REPRO_OBS monitors or the state
-    access hook) observes individual schedule entries, so it vetoes
-    batching before the :mod:`repro.sim.batch` policy is even asked."""
-    if _monitor_factory is not None or access_hook is not None:
-        return False
-    return _batch.runtime_active()
 
 
 #: Version tag of the ``snapshot()``/``restore()`` blob layout.  Bumped
@@ -553,7 +540,6 @@ if x is None:
 $CB_PRE$
     a = $ARGS$
 $CLEAR_CB$
-$BATCH$
     if a:
         $CB$(*a)
     else:
@@ -594,22 +580,7 @@ def _indent(src: str, pad: str) -> str:
     return "".join(pad + ln if ln.strip() else ln for ln in src.splitlines(True))
 
 
-#: Batch hook rendered into the callback branch of the *batched* loop
-#: variants only (``{fn}`` is the site's bound-callback expression).  By
-#: this point the entry is fully popped — front cells cleared, ``a``
-#: bound — so a kernel sees a consistent scheduler and may schedule
-#: freely.  A kernel returning False has changed nothing and the scalar
-#: call below runs as usual.  The scalar loops render ``$BATCH$`` empty
-#: and stay byte-identical to the pre-batching engine.
-_BATCH_HOOK = """\
-bk = bkget(getattr({fn}, "__func__", None))
-if bk is not None and bk(bapi, {fn}, a):
-    continue
-"""
-
-
-def _dispatch(x: str, fn: str, args: str, pool: str, pad: str,
-              batch: bool = False) -> str:
+def _dispatch(x: str, fn: str, args: str, pool: str, pad: str) -> str:
     """Render the dispatch for heap-item sites: the popped tuple owns its
     payload, so no cells need clearing and the markers expand to nothing."""
     return _indent(
@@ -617,13 +588,12 @@ def _dispatch(x: str, fn: str, args: str, pool: str, pad: str,
             _DISPATCH_TEMPLATE,
             X=x, FN=fn, CB=fn, ARGS=args, POOL=pool,
             CB_PRE="", CLEAR_CB="", CLEAR_TM="", CLEAR_EV="",
-            BATCH=_indent(_BATCH_HOOK.format(fn=fn), "    ") if batch else "",
         ),
         pad,
     )
 
 
-def _dispatch_front(pad: str, batch: bool = False) -> str:
+def _dispatch_front(pad: str) -> str:
     """Render the dispatch for the decomposed front slot.
 
     Each kind clears exactly the cells its fill path stored (see the
@@ -638,7 +608,6 @@ def _dispatch_front(pad: str, batch: bool = False) -> str:
             CLEAR_CB="    f3 = None\n    f4 = None",
             CLEAR_TM="    fx = None\n    f3 = None",
             CLEAR_EV="    fx = None",
-            BATCH=_indent(_BATCH_HOOK.format(fn="fn"), "    ") if batch else "",
         ),
         pad,
     )
@@ -728,9 +697,6 @@ def _build_calendar_core(sim, width):
     promotions = 0
     pool_hits = 0
     pool_misses = 0
-    blim = INF
-    b_batches = 0
-    b_fused = 0
 
     def schedule_callback(delay, fn, *args):
         nonlocal seq, fw, fs, fx, f3, f4, far_min, pushes, spills
@@ -932,95 +898,13 @@ $RUN_ALL$
 
 $RUN_UNTIL$
 
-$RUN_ALL_B$
-
-$RUN_UNTIL_B$
-
-    def _bpop_if(fn, bound=None):
-        # Batch-kernel service: pop and return the next schedule entry
-        # iff it is the global minimum, a callback targeting exactly
-        # ``fn``, and fires no later than ``bound``/the run limit.
-        # Mirrors the main loop's pop precedence (heap beats front on
-        # ties by seq; far promotes first) so consuming kernels replay
-        # the exact scalar order.  Never touches sim._now.
-        nonlocal fw, fx, f3, f4
-        limit = blim
-        if bound is not None and bound < limit:
-            limit = bound
-        while True:
-            w = fw
-            if w >= 0.0:
-                if heap:
-                    h0 = heap[0]
-                    hw = h0[0]
-                    if hw < w or (hw == w and h0[1] < fs):
-                        if hw > limit or h0[2] is not None or h0[3] != fn:
-                            return None
-                        return pop(heap)
-                if far_min <= w:
-                    _promote()
-                    continue
-                if w > limit or fx is not None or f3 != fn:
-                    return None
-                e = (w, fs, None, f3, f4)
-                fw = -1.0
-                f3 = None
-                f4 = None
-                return e
-            if heap:
-                h0 = heap[0]
-                if h0[0] > limit or h0[2] is not None or h0[3] != fn:
-                    return None
-                return pop(heap)
-            if far_min != INF:
-                if far_min > limit:
-                    return None
-                _promote()
-                continue
-            return None
-
-    def _bconsume(n):
-        # Burned seqs stand in for schedule+pop pairs a kernel replayed
-        # analytically; the accounting identity in the loop footers
-        # counts them as processed events, matching scalar runs.
-        nonlocal seq
-        seq += n
-
-    def _bset_now(t):
-        sim._now = t
-
-    def _blimit():
-        return blim
-
-    def _bfused(n):
-        nonlocal b_batches, b_fused
-        b_batches += 1
-        b_fused += n
-
-    bapi = BatchApi()
-    bapi.sim = sim
-    bapi.pop_if = _bpop_if
-    bapi.consume_seq = _bconsume
-    bapi.set_now = _bset_now
-    bapi.limit = _blimit
-    bapi.fused = _bfused
-
     def run(until=None):
-        nonlocal blim
         if until is None:
-            if bactive():
-                blim = INF
-                _run_all_b()
-            else:
-                _run_all()
+            _run_all()
             return
         if until < sim._now:
             raise ValueError(f"until ({until}) lies in the past (now={sim._now})")
-        if bactive():
-            blim = until
-            _run_until_b(until)
-        else:
-            _run_until(until)
+        _run_until(until)
 
     def step():
         nonlocal fw, fx, f3, f4
@@ -1076,8 +960,7 @@ $DISPATCH_STEP$
             "timer_pool_hits": pool_hits,
             "timer_pool_misses": pool_misses,
             "timer_pool_size": len(pool),
-            "batch_batches": b_batches,
-            "batch_fused": b_fused,
+            "batch_fused": 0,  # no batch kernels; kept for figbench readers
         }
 
     def snapshot():
@@ -1142,16 +1025,13 @@ $DISPATCH_STEP$
                 if when < far_min:
                     far_min = when
 
-    bapi.peek = peek
-    bapi.schedule_callback_at = schedule_callback_at
-
     return (schedule_callback, schedule_callback_at, _schedule,
             _schedule_event_at, schedule_timer, run, step, peek, stats,
             snapshot, restore)
 '''
 
 
-def _calendar_loop(name: str, bounded: bool, batched: bool = False) -> str:
+def _calendar_loop(name: str, bounded: bool) -> str:
     if bounded:
         guard = "if {when} > until:\n    sim._now = until\n    return\n"
         subs = dict(
@@ -1174,30 +1054,20 @@ def _calendar_loop(name: str, bounded: bool, batched: bool = False) -> str:
     assert len(parts) == 3, "loop template must contain two item dispatch sites"
     src = (
         parts[0]
-        + _dispatch("item[2]", "item[3]", "item[4]", "pool", " " * 24, batched)
+        + _dispatch("item[2]", "item[3]", "item[4]", "pool", " " * 24)
         + parts[1]
-        + _dispatch("item[2]", "item[3]", "item[4]", "pool", " " * 16, batched)
+        + _dispatch("item[2]", "item[3]", "item[4]", "pool", " " * 16)
         + parts[2]
     )
-    src = src.replace("$DISPATCH_FRONT$\n", _dispatch_front(" " * 16, batched))
+    src = src.replace("$DISPATCH_FRONT$\n", _dispatch_front(" " * 16))
     return src
 
 
 def _build_calendar_factory() -> Callable:
-    # The run loops are rendered twice: the scalar pair is byte-identical
-    # to the pre-batching engine (zero overhead with batching off), the
-    # ``_b`` pair adds the kernel hook at every callback dispatch.  run()
-    # picks a pair per call via the batch policy.
     src = _render(
         _CAL_FACTORY_TEMPLATE,
         RUN_ALL=_indent(_calendar_loop("_run_all", bounded=False), " " * 4),
         RUN_UNTIL=_indent(_calendar_loop("_run_until", bounded=True), " " * 4),
-        RUN_ALL_B=_indent(
-            _calendar_loop("_run_all_b", bounded=False, batched=True), " " * 4
-        ),
-        RUN_UNTIL_B=_indent(
-            _calendar_loop("_run_until_b", bounded=True, batched=True), " " * 4
-        ),
         DISPATCH_STEP=_dispatch("item[2]", "item[3]", "item[4]", "pool", " " * 8),
     )
     namespace: dict = {
@@ -1205,9 +1075,6 @@ def _build_calendar_factory() -> Callable:
         "SimulationError": SimulationError,
         "push": heapq.heappush,
         "pop": heapq.heappop,
-        "bkget": _batch._KERNELS.get,
-        "bactive": _batch_active,
-        "BatchApi": _batch.BatchApi,
         "SNAPSHOT_SCHEMA": SNAPSHOT_SCHEMA,
         "_check_snapshot_schema": _check_snapshot_schema,
         "_SNAPSHOT_EVENT_MSG": _SNAPSHOT_EVENT_MSG,

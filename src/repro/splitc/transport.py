@@ -134,9 +134,13 @@ class UNetTransport:
     BULK_HANDLER = 2
     #: staging region in each peer's UAM memory, per source rank
     STAGE_BYTES = 96 * 1024
+    #: floor on each rank's communication segment; runs of up to 4
+    #: ranks fit inside it and keep their historical layout
+    MIN_SEGMENT_BYTES = 512 * 1024
 
     def __init__(self, cluster, nprocs: int, window: int = 8):
         from repro.am import UAM, UamConfig
+        from repro.core.segment import align_up
 
         self.sim = cluster.sim
         self.cluster = cluster
@@ -155,9 +159,13 @@ class UNetTransport:
         self._rank_of_channel: List[Dict[int, int]] = [dict() for _ in range(nprocs)]
         self._channel_to: List[Dict[int, int]] = [dict() for _ in range(nprocs)]
         cfg = UamConfig(window=window, memory_size=(nprocs + 1) * self.STAGE_BYTES)
+        # UAM.open_channel takes 3w buffers (w transmit, 2w receive)
+        # from the segment for each of the rank's nprocs-1 peers.
+        need = (nprocs - 1) * 3 * window * align_up(cfg.buffer_size)
+        segment_size = max(self.MIN_SEGMENT_BYTES, need)
         for rank, name in enumerate(names):
             session = cluster.open_session(
-                name, f"splitc-{rank}", segment_size=512 * 1024,
+                name, f"splitc-{rank}", segment_size=segment_size,
                 send_ring=128, recv_ring=128, free_ring=128,
             )
             self.sessions.append(session)

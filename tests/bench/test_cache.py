@@ -59,16 +59,12 @@ def test_key_varies_by_fn_params_and_core(tmp_cache):
         assert cache.cache_key(_square, 3) != base
 
 
-def test_key_varies_by_batch_config(tmp_cache):
-    # Batched and scalar runs are bit-identical by contract, but their
-    # results must never alias in the cache (PR 6 shard-count bug class)
-    from repro.sim import batch
-
-    with batch.use_batching(True):
-        on = cache.cache_key(_square, 3)
-    with batch.use_batching(False):
-        off = cache.cache_key(_square, 3)
-    assert on != off
+def test_key_varies_by_numpy_version(tmp_cache, monkeypatch):
+    # The Split-C apps compute with numpy, so a numpy upgrade must
+    # retire their cached results.
+    base = cache.cache_key(_square, 3)
+    monkeypatch.setattr(cache, "numpy_tag", lambda: "numpy=0.0")
+    assert cache.cache_key(_square, 3) != base
 
 
 def test_key_varies_by_checkpoint_schema(tmp_cache, monkeypatch):

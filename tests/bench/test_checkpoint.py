@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.bench import cache, checkpoint, parallel
-from repro.sim import Simulator, batch
+from repro.sim import Simulator
 
 POINTS = [2.0, 5.0, 11.0]
 
@@ -96,12 +96,10 @@ def test_snapshot_key_invalidated_by_source_digest(monkeypatch):
     assert checkpoint.snapshot_key("fig3", {"warmup": 400}) != base
 
 
-def test_snapshot_key_invalidated_by_batch_config():
-    with batch.use_batching(True):
-        on = checkpoint.snapshot_key("fig3", {"warmup": 400})
-    with batch.use_batching(False):
-        off = checkpoint.snapshot_key("fig3", {"warmup": 400})
-    assert on != off
+def test_snapshot_key_invalidated_by_numpy_version(monkeypatch):
+    base = checkpoint.snapshot_key("fig3", {"warmup": 400})
+    monkeypatch.setattr(cache, "numpy_tag", lambda: "numpy=0.0")
+    assert checkpoint.snapshot_key("fig3", {"warmup": 400}) != base
 
 
 def test_snapshot_key_invalidated_by_schema(monkeypatch):

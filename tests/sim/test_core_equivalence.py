@@ -12,6 +12,9 @@ Three layers of evidence, strongest first:
 * **seed-loop identity** — the heap core's deduplicated run loop must
   behave exactly like the seed engine's hand-written loop, verified
   against a verbatim copy of the pre-refactor ``run()``/``step()``.
+
+All three compare the cores inside one build; the absolute scenario
+outputs are pinned across commits by ``tests/analysis/test_scenario_golden.py``.
 """
 
 import random

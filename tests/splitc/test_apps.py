@@ -88,6 +88,13 @@ class TestFullStackValidation:
         )
         assert result.verified
 
+    def test_sample_sort_over_unet_at_eight_ranks(self):
+        """Eight ranks open seven UAM channels each, more buffers than
+        the 512 KB segment floor holds; the transport sizes the segment
+        from the rank count instead of overflowing it."""
+        result = run_on_unet_cluster(sample_sort, nprocs=8, n_per_proc=16)
+        assert result.verified
+
     def test_model_and_full_stack_agree_on_timescale(self):
         """The ATM machine model's Table 2 numbers were measured from
         this very stack, so total times should agree within ~2.5x."""
