@@ -36,6 +36,11 @@ from repro.analysis.linter import FileContext, LintError, iter_python_files
 #: scheduling entry points whose second argument is an event callback.
 SCHEDULERS = ("schedule_callback", "schedule_callback_at", "schedule_timer")
 
+#: callback continuations (``Store.get_then(fn)``,
+#: ``Resource.use_then(duration, fn, arg)``) -> position of the
+#: callable, which runs from its own heap entry like a scheduled one.
+CONTINUATIONS = {"get_then": 0, "use_then": 1}
+
 _FLOW_DISABLE_RE = re.compile(
     r"#\s*simflow:\s*(disable-file|disable)"
     r"\s*(?:=\s*([\w-]+(?:\s*,\s*[\w-]+)*))?"
@@ -494,6 +499,8 @@ class Program:
             target_expr = node.args[1]
             if attr == "schedule_timer":
                 kind = "timer"
+        elif attr in CONTINUATIONS and len(node.args) > CONTINUATIONS[attr]:
+            target_expr = node.args[CONTINUATIONS[attr]]
         elif attr == "process" and node.args:
             gen = node.args[0]
             if isinstance(gen, ast.Call):  # sim.process(self._rx_proc())

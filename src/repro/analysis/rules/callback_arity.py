@@ -1,7 +1,8 @@
 """callback-arity: schedule_callback argument lists must fit the callee.
 
 ``sim.schedule_callback(delay, fn, *args)`` applies ``fn(*args)`` when
-the heap entry fires -- hours of simulated time after the call site, so
+the heap entry fires (``resource.use_then(duration, fn, arg)`` likewise
+applies ``fn(arg)``) -- hours of simulated time after the call site, so
 an arity mismatch surfaces as a TypeError with a useless stack.  When
 the callee is resolvable statically (a ``self._method`` of the
 enclosing class or a function defined in the same module), this rule
@@ -18,8 +19,8 @@ from repro.analysis.linter import FileContext, Violation
 from repro.analysis.rules import Rule, register
 
 #: scheduling entry points -> number of leading non-callback parameters
-#: (the delay / absolute time) before the callable.
-SCHEDULERS = {"schedule_callback": 1, "schedule_callback_at": 1}
+#: (the delay / absolute time / hold duration) before the callable.
+SCHEDULERS = {"schedule_callback": 1, "schedule_callback_at": 1, "use_then": 1}
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ class _CallVisitor(ast.NodeVisitor):
 class CallbackArityRule(Rule):
     name = "callback-arity"
     description = (
-        "schedule_callback(_at) argument counts must match the callee's "
+        "schedule_callback(_at)/use_then argument counts must match the callee's "
         "signature (checked when the callee resolves statically)"
     )
 

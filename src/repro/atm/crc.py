@@ -37,13 +37,19 @@ def crc32_finish(crc: int) -> int:
 
 
 def internet_checksum(data: bytes) -> int:
-    """RFC 1071 16-bit one's-complement checksum."""
+    """RFC 1071 16-bit one's-complement checksum.
+
+    Read as one big-endian integer, the data is the sum of its 16-bit
+    words times powers of 2**16, and 2**16 == 1 (mod 0xFFFF), so the
+    residue mod 0xFFFF is the one's-complement word sum, folded in C.
+    The end-around-carry sum of any non-zero input lies in
+    [1, 0xFFFF], so a residue of 0 stands for 0xFFFF there; only
+    all-zero input sums to 0.  An odd length is padded with a zero
+    byte (the shift).
+    """
+    n = int.from_bytes(data, "big")
+    if not n:
+        return 0xFFFF
     if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+        n <<= 8
+    return 0xFFFF - (n % 0xFFFF or 0xFFFF)

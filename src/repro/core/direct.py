@@ -59,6 +59,8 @@ class DirectAccessNI(Sba200UNet):
         super().__init__(*args, **kwargs)
         self.direct_deposits = 0
         self.direct_range_errors = 0
+        self._rx_offset = 0
+        self._k_direct_range_error = f"{self.name}.direct_range_error"
 
     # -- transmit: add framing ------------------------------------------------
     def _gather(self, endpoint: Endpoint, desc: SendDescriptor) -> bytes:
@@ -68,39 +70,21 @@ class DirectAccessNI(Sba200UNet):
         return HEADER.pack(TYPE_BASE, 0) + body
 
     # -- receive: strip framing, dispatch -----------------------------------
-    def _rx_firmware(self):
-        costs = self.costs
-        while True:
-            cell = yield self.input_fifo.get()
-            yield from self.i960.use(costs.i960_rx_per_cell_us)
-            first_of_pdu = self.reassembler.pending_cells(cell.vci) == 0
-            framed = self.reassembler.push(cell)
-            if framed is None:
-                if cell.last:
-                    self.tracer.count(f"{self.name}.rx_bad_pdu")
-                continue
-            channel = self.mux.demux(cell.vci)
-            if channel is None:
-                self.tracer.count(f"{self.name}.rx_unmatched")
-                continue
-            msg_type, offset = HEADER.unpack(framed[: HEADER.size])
-            payload = framed[HEADER.size :]
-            if msg_type == TYPE_DIRECT:
-                yield from self.i960.use(self.i960_rx_direct_us)
-                self._deposit_direct(channel, offset, payload)
-            elif (
-                self.single_cell_optimization
-                and first_of_pdu
-                and cell.last
-                and len(payload) <= 40 - HEADER.size
-            ):
-                yield from self.i960.use(costs.i960_rx_single_us)
-                if self._deliver_inline(channel, payload):
-                    self.pdus_received += 1
-            else:
-                yield from self.i960.use(costs.i960_rx_packet_us)
-                if self._deliver_buffered(channel, payload):
-                    self.pdus_received += 1
+    def _rx_pdu(self, framed: bytes, one_cell: bool) -> None:
+        msg_type, offset = HEADER.unpack_from(framed)
+        payload = framed[HEADER.size :]
+        if msg_type != TYPE_DIRECT:
+            # A one-cell PDU carries at most 40 framed bytes, so the base
+            # path's single-cell test on the stripped payload picks the
+            # same PDUs as a test on the framed size would.
+            super()._rx_pdu(payload, one_cell)
+            return
+        self._rx_offset = offset
+        self.i960.use_then(self.i960_rx_direct_us, self._rx_direct, payload)
+
+    def _rx_direct(self, payload: bytes) -> None:
+        self._deposit_direct(self._rx_channel, self._rx_offset, payload)
+        self._rx_done()
 
     def _deposit_direct(self, channel, offset: int, payload: bytes) -> None:
         endpoint = channel.endpoint
@@ -109,7 +93,7 @@ class DirectAccessNI(Sba200UNet):
         except Exception:
             # Out-of-segment deposit: protection says drop, never write.
             self.direct_range_errors += 1
-            self.tracer.count(f"{self.name}.direct_range_error")
+            self.tracer.count(self._k_direct_range_error)
             return
         endpoint.segment.write(offset, payload)
         self.direct_deposits += 1
@@ -121,4 +105,4 @@ class DirectAccessNI(Sba200UNet):
         if endpoint.deliver(notification):
             self.pdus_received += 1
         else:
-            self.tracer.count(f"{self.name}.rx_ring_full")
+            self.tracer.count(self._k_rx_ring_full)

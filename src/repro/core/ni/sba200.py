@@ -23,6 +23,7 @@ from typing import Optional
 
 from repro import obs
 from repro.atm.aal5 import Reassembler, cells_for_pdu, segment_pdu
+from repro.atm.cell import Cell
 from repro.atm.network import NetworkPort
 from repro.core.descriptors import SINGLE_CELL_MAX, SendDescriptor
 from repro.core.endpoint import Endpoint
@@ -49,6 +50,9 @@ class Sba200UNet(NetworkInterface):
         "_k_tx_badchannel",
         "_k_rx_bad_pdu",
         "_k_rx_unmatched",
+        "_rx_obs",
+        "_rx_span",
+        "_rx_channel",
     )
 
     def __init__(
@@ -76,7 +80,13 @@ class Sba200UNet(NetworkInterface):
         self._k_tx_badchannel = f"{self.name}.tx_badchannel"
         self._k_rx_bad_pdu = f"{self.name}.rx_bad_pdu"
         self._k_rx_unmatched = f"{self.name}.rx_unmatched"
-        self.sim.process(self._rx_firmware(), name=f"{self.name}.rx")
+        # Receive-machine state of the cell in flight (see _rx_cell).
+        self._rx_obs = None
+        self._rx_span = None
+        self._rx_channel = None
+        # Start polling from a zero-delay entry, where a receive process
+        # would take its first step.
+        self.sim.schedule_callback(0.0, self._rx_done)
 
     # -- transmit ---------------------------------------------------------
     def _on_attach(self, endpoint: Endpoint) -> None:
@@ -154,48 +164,76 @@ class Sba200UNet(NetworkInterface):
             self.pdus_sent += 1
 
     # -- receive ------------------------------------------------------------
-    def _rx_firmware(self):
-        """The i960 polls the network input FIFO (§4.2.2)."""
-        costs = self.costs
-        while True:
-            cell = yield self.input_fifo.get()
-            _o = obs.active
-            _sp = (
-                _o.begin(self.sim.now, "rx_cell", "ni_rx", host=self.host.name)
-                if _o is not None
-                else None
+    # The i960 polls the network input FIFO (§4.2.2).  The firmware is a
+    # callback state machine over Store.get_then / Resource.use_then,
+    # one step per heap entry (DESIGN.md §5, "Callback firmware"):
+    #
+    #   _rx_cell     a cell is taken off the FIFO; per-cell i960 work
+    #   _rx_frame    AAL5 reassembly and demux once that work is done
+    #   _rx_pdu      a complete PDU picks its path; per-PDU i960 work
+    #   _rx_single / _rx_packet   delivery into the endpoint
+    #   _rx_done     close the cell's span, wait for the next cell
+    #
+    # One cell is in flight at a time, so its span and channel live on
+    # the NI.
+    def _rx_cell(self, cell: Cell) -> None:
+        _o = obs.active
+        self._rx_obs = _o
+        if _o is not None:
+            self._rx_span = _o.begin(
+                self.sim.now, "rx_cell", "ni_rx", host=self.host.name
             )
-            try:
-                yield from self.i960.use(costs.i960_rx_per_cell_us)
-                first_of_pdu = self.reassembler.pending_cells(cell.vci) == 0
-                payload = self.reassembler.push(cell)
-                if payload is None:
-                    if cell.last:
-                        self.tracer.count(self._k_rx_bad_pdu)
-                    continue
-                single = (
-                    self.single_cell_optimization
-                    and first_of_pdu
-                    and cell.last
-                    and len(payload) <= SINGLE_CELL_MAX
-                )
-                channel = self.mux.demux(cell.vci)
-                if channel is None:
-                    self.tracer.count(self._k_rx_unmatched)
-                    continue
-                if _sp is not None:
-                    _sp.name = "rx_single" if single else "rx_packet"
-                    _o.annotate(
-                        _sp, bytes=len(payload), firmware=self.obs_firmware
-                    )
-                if single:
-                    yield from self.i960.use(costs.i960_rx_single_us)
-                    if self._deliver_inline(channel, payload):
-                        self.pdus_received += 1
-                else:
-                    yield from self.i960.use(costs.i960_rx_packet_us)
-                    if self._deliver_buffered(channel, payload):
-                        self.pdus_received += 1
-            finally:
-                if _sp is not None:
-                    _o.end(_sp, self.sim.now)
+        self.i960.use_then(self.costs.i960_rx_per_cell_us, self._rx_frame, cell)
+
+    def _rx_frame(self, cell: Cell) -> None:
+        first_of_pdu = self.reassembler.pending_cells(cell.vci) == 0
+        payload = self.reassembler.push(cell)
+        if payload is None:
+            if cell.last:
+                self.tracer.count(self._k_rx_bad_pdu)
+            self._rx_done()
+            return
+        channel = self.mux.demux(cell.vci)
+        if channel is None:
+            self.tracer.count(self._k_rx_unmatched)
+            self._rx_done()
+            return
+        self._rx_channel = channel
+        self._rx_pdu(payload, first_of_pdu and cell.last)
+
+    def _rx_pdu(self, payload: bytes, one_cell: bool) -> None:
+        """Take one reassembled PDU for ``self._rx_channel`` (``one_cell``:
+        it arrived as a single cell) down the single-cell path, straight
+        into the receive queue, or the buffered path through the free
+        queue."""
+        single = (
+            self.single_cell_optimization
+            and one_cell
+            and len(payload) <= SINGLE_CELL_MAX
+        )
+        _sp = self._rx_span
+        if _sp is not None:
+            _o = self._rx_obs
+            _sp.name = "rx_single" if single else "rx_packet"
+            _o.annotate(_sp, bytes=len(payload), firmware=self.obs_firmware)
+        if single:
+            self.i960.use_then(self.costs.i960_rx_single_us, self._rx_single, payload)
+        else:
+            self.i960.use_then(self.costs.i960_rx_packet_us, self._rx_packet, payload)
+
+    def _rx_single(self, payload: bytes) -> None:
+        if self._deliver_inline(self._rx_channel, payload):
+            self.pdus_received += 1
+        self._rx_done()
+
+    def _rx_packet(self, payload: bytes) -> None:
+        if self._deliver_buffered(self._rx_channel, payload):
+            self.pdus_received += 1
+        self._rx_done()
+
+    def _rx_done(self) -> None:
+        _sp = self._rx_span
+        if _sp is not None:
+            self._rx_span = None
+            self._rx_obs.end(_sp, self.sim.now)
+        self.input_fifo.get_then(self._rx_cell)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, List, Optional
+from functools import partial
+from typing import Any, Callable, Deque, List, Optional
 
 from repro.sim import engine as _engine
 from repro.sim.engine import Event, SimulationError, Simulator
@@ -18,6 +19,8 @@ class Store:
     non-blocking variants ``try_put``/``try_get`` never block and report
     success explicitly; they are what NI hardware models use for queues
     that *drop* on overflow instead of exerting back-pressure.
+    ``get_then`` is the callback form of ``get`` for firmware written as
+    a state machine rather than a process.
     """
 
     __slots__ = ("sim", "capacity", "name", "items", "_getters", "_putters")
@@ -29,7 +32,10 @@ class Store:
         self.capacity = capacity
         self.name = name
         self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        # Waiting getters as "hand over this item" callables: a blocked
+        # get() parks its event's succeed, a blocked get_then() a
+        # zero-delay schedule of its continuation.
+        self._getters: Deque[Callable[[Any], Any]] = deque()
         self._putters: Deque[tuple] = deque()  # (event, item)
 
     def __len__(self) -> int:
@@ -45,8 +51,7 @@ class Store:
         event = Event(self.sim)
         if self._getters:
             # Hand the item straight to the longest-waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
+            self._getters.popleft()(item)
             event.succeed()
         elif len(self.items) < self.capacity:
             self.items.append(item)
@@ -67,8 +72,26 @@ class Store:
             putter.succeed()
             event.succeed(item)
         else:
-            self._getters.append(event)
+            self._getters.append(event.succeed)
         return event
+
+    def get_then(self, fn: Callable[[Any], Any]) -> None:
+        """Callback form of :meth:`get`: ``fn(item)`` runs from its own
+        zero-delay heap entry, scheduled exactly where ``get()``'s event
+        would trigger -- now if an item is ready, else when a put
+        arrives -- so the ``(time, seq)`` timeline is the same."""
+        if _engine.access_hook is not None:
+            _engine.access_hook(id(self), f"store:{self.name}", "w")
+        sim = self.sim
+        if self.items:
+            sim.schedule_callback(0.0, fn, self.items.popleft())
+            self._drain_putters()
+        elif self._putters:
+            putter, item = self._putters.popleft()
+            putter.succeed()
+            sim.schedule_callback(0.0, fn, item)
+        else:
+            self._getters.append(partial(sim.schedule_callback, 0.0, fn))
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False (drop) when full."""
@@ -77,7 +100,7 @@ class Store:
                 id(self), f"store:{self.name}", "r" if self.is_full else "w"
             )
         if self._getters:
-            self._getters.popleft().succeed(item)
+            self._getters.popleft()(item)
             return True
         if len(self.items) < self.capacity:
             self.items.append(item)
@@ -203,3 +226,33 @@ class Resource:
                 yield self.sim.timeout(duration)
             finally:
                 self.release(request)
+
+    def use_then(self, duration: float, fn: Callable[[Any], Any], arg: Any) -> None:
+        """Callback form of :meth:`use`: hold the resource for
+        ``duration``, release it, then call ``fn(arg)``.
+
+        Schedules the heap entries ``use()`` schedules, at the same
+        ``(time, seq)`` positions: one entry at the end of the hold when
+        the resource is free, and when it is contended a grant through
+        the FIFO request queue followed by that hold."""
+        if self._in_use < self.capacity and not self._queue:
+            if _engine.access_hook is not None:
+                _engine.access_hook(id(self), f"res:{self.name}", "w")
+            self._in_use += 1
+            self.sim.schedule_callback(duration, self._release_then, fn, arg)
+            return
+        request = self.request()
+        request.callbacks.append(partial(self._granted_then, duration, fn, arg))
+
+    def _granted_then(self, duration: float, fn, arg, request: Event) -> None:
+        self.sim.schedule_callback(
+            duration, self._release_request_then, request, fn, arg
+        )
+
+    def _release_then(self, fn, arg) -> None:
+        self._release_held()
+        fn(arg)
+
+    def _release_request_then(self, request: Event, fn, arg) -> None:
+        self.release(request)
+        fn(arg)

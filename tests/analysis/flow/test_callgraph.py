@@ -171,6 +171,24 @@ class TestScheduledTargets:
         )
         assert "repro.mod.on_timeout" in program.callback_roots
 
+    def test_continuation_targets_are_roots(self):
+        program = make_program(
+            mod="""
+            class Firmware:
+                def start(self):
+                    self.fifo.get_then(self._on_cell)
+
+                def _on_cell(self, cell):
+                    self.cpu.use_then(2.0, self._after, cell)
+
+                def _after(self, cell):
+                    self.start()
+            """
+        )
+        assert "repro.mod.Firmware._on_cell" in program.callback_roots
+        assert "repro.mod.Firmware._after" in program.callback_roots
+        assert program.root_kinds["repro.mod.Firmware._after"] == {"callback"}
+
 
 class TestReachability:
     def test_reachable_from_callbacks_is_transitive(self):

@@ -243,6 +243,23 @@ def test_callback_arity_allows_matching_calls():
     """) == []
 
 
+def test_callback_arity_checks_use_then_continuations():
+    violations = run_rule("callback-arity", """
+        class NI:
+            def frame(self, cell):
+                pass
+
+            def done(self):
+                pass
+
+            def f(self, cpu, cell):
+                cpu.use_then(2.0, self.frame, cell)
+                cpu.use_then(2.0, self.done, cell)
+    """)
+    assert len(violations) == 1
+    assert "use_then passes 1 argument(s) to self.done" in violations[0].message
+
+
 def test_callback_arity_skips_unresolvable_callees():
     assert run_rule("callback-arity", """
         def f(sim, handler):

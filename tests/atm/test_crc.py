@@ -39,6 +39,17 @@ class TestCrc32:
         assert crc32_aal5(bytes(corrupted)) != crc32_aal5(data)
 
 
+def rfc1071_reference(data: bytes) -> int:
+    """The RFC 1071 word loop with end-around carry, kept as the oracle."""
+    if len(data) % 2:
+        data = data + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
 class TestInternetChecksum:
     def test_known_vector(self):
         # RFC 1071 example data.
@@ -66,3 +77,52 @@ class TestInternetChecksum:
             swapped = bytes([data[1], data[0]]) + data[2:]
             # 16-bit one's complement detects reordering within a word.
             assert internet_checksum(swapped) != internet_checksum(data)
+
+    @given(st.binary(max_size=2000))
+    def test_matches_rfc1071_reference(self, data):
+        assert internet_checksum(data) == rfc1071_reference(data)
+
+    @pytest.mark.parametrize("n", range(71))
+    def test_every_short_length(self, n):
+        data = bytes((i * 37 + 11) % 256 for i in range(n))
+        assert internet_checksum(data) == rfc1071_reference(data)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 47, 48, 65535])
+    def test_all_zero_sums_to_zero(self, n):
+        assert internet_checksum(bytes(n)) == rfc1071_reference(bytes(n)) == 0xFFFF
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 65535])
+    def test_all_ones(self, n):
+        data = b"\xff" * n
+        assert internet_checksum(data) == rfc1071_reference(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xff\xff",
+            b"\x00\x01\xff\xfe",
+            b"\x12\x34\xed\xcb",
+            b"\x80\x00\x7f\xff\x00\x00",
+            b"\x00\xff\xff",  # odd: pads to 0x00ff + 0xff00
+        ],
+    )
+    def test_nonzero_sum_folding_to_zero(self, data):
+        """A non-zero input whose word sum is a multiple of 0xFFFF sums
+        to 0xFFFF with end-around carry, so its checksum is 0 -- not the
+        0xFFFF of all-zero input."""
+        expected = rfc1071_reference(data)
+        if len(data) % 2 == 0:
+            assert expected == 0
+        assert internet_checksum(data) == expected
+
+    def test_64k_minus_one(self):
+        data = bytes((i * 131 + 7) % 256 for i in range(65535))
+        assert internet_checksum(data) == rfc1071_reference(data)
+
+    @given(st.binary(max_size=300).filter(any))
+    def test_appended_complement_word_gives_zero(self, data):
+        """Closing a non-zero input with its own checksum word makes the
+        sum a non-zero multiple of 0xFFFF: the checksum is 0."""
+        padded = data if len(data) % 2 == 0 else data + b"\x00"
+        closed = padded + internet_checksum(data).to_bytes(2, "big")
+        assert internet_checksum(closed) == rfc1071_reference(closed) == 0

@@ -1,14 +1,18 @@
 """IP/UDP/TCP header encode/decode and checksum tests."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.atm.crc import internet_checksum
 from repro.ip.headers import (
     FLAG_ACK,
     FLAG_SYN,
     IP_HEADER_SIZE,
     PROTO_TCP,
     PROTO_UDP,
+    UDP_HEADER_SIZE,
     IpDatagram,
     TcpSegment,
     UdpPacket,
@@ -51,6 +55,12 @@ class TestIpDatagram:
             IpDatagram.decode(bytes(raw))
 
 
+def _closing_word(data: bytes) -> bytes:
+    """The 16-bit word that makes ``data`` (even length) sum to a
+    non-zero multiple of 0xFFFF, i.e. computes a checksum of 0."""
+    return internet_checksum(data).to_bytes(2, "big")
+
+
 class TestUdpPacket:
     def test_roundtrip(self):
         p = UdpPacket(src_port=1234, dst_port=80, payload=b"payload")
@@ -81,6 +91,32 @@ class TestUdpPacket:
     def test_odd_length_payload(self):
         p = UdpPacket(src_port=1, dst_port=2, payload=b"odd")
         assert UdpPacket.decode(p.encode()).payload == b"odd"
+
+    @given(
+        st.binary(max_size=200).map(lambda b: b[: len(b) & ~1]),
+        st.integers(1, 65535),
+        st.integers(1, 65535),
+    )
+    def test_computed_zero_is_sent_as_ffff(self, body, sport, dport):
+        """A computed checksum of 0 goes on the wire as 0xFFFF (0 means
+        "no checksum"), and the receiver still verifies it."""
+        length = UDP_HEADER_SIZE + len(body) + 2
+        header = struct.pack(">HHHH", sport, dport, length, 0)
+        payload = body + _closing_word(header + body)
+        assert internet_checksum(header + payload) == 0
+        raw = UdpPacket(src_port=sport, dst_port=dport, payload=payload).encode()
+        assert raw[6:8] == b"\xff\xff"
+        out = UdpPacket.decode(raw)
+        assert out.payload == payload and out.with_checksum
+
+    def test_computed_zero_packet_still_detects_corruption(self):
+        header = struct.pack(">HHHH", 1, 2, UDP_HEADER_SIZE + 4, 0)
+        payload = b"hi" + _closing_word(header + b"hi")
+        raw = bytearray(UdpPacket(src_port=1, dst_port=2, payload=payload).encode())
+        assert raw[6:8] == b"\xff\xff"
+        raw[-3] ^= 0x01
+        with pytest.raises(ValueError, match="checksum"):
+            UdpPacket.decode(bytes(raw))
 
 
 class TestTcpSegment:
@@ -116,6 +152,19 @@ class TestTcpSegment:
         raw[22] ^= 0x10  # flip a payload byte
         with pytest.raises(ValueError, match="checksum"):
             TcpSegment.decode(bytes(raw))
+
+    @given(st.binary(max_size=200).map(lambda b: b[: len(b) & ~1]))
+    def test_computed_zero_checksum_roundtrip(self, body):
+        """TCP has no "no checksum" value: a computed 0 is sent as 0 and
+        verifies on decode."""
+        fields = dict(src_port=1, dst_port=2, seq=7, ack=9, flags=FLAG_ACK,
+                      window=512)
+        encoded = TcpSegment(**fields).encode()
+        header = encoded[:16] + b"\x00\x00" + encoded[18:]
+        payload = body + _closing_word(header + body)
+        raw = TcpSegment(payload=payload, **fields).encode()
+        assert raw[16:18] == b"\x00\x00"
+        assert TcpSegment.decode(raw).payload == payload
 
     def test_describe(self):
         seg = TcpSegment(src_port=1, dst_port=2, seq=9, ack=0, flags=FLAG_SYN,

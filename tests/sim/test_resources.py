@@ -1,8 +1,10 @@
 """Unit tests for Store and Resource."""
 
+import random
+
 import pytest
 
-from repro.sim import Resource, Simulator, SimulationError, Store
+from repro.sim import Resource, Simulator, SimulationError, Store, engine
 
 
 class TestStore:
@@ -217,3 +219,119 @@ class TestResource:
             sim.run()  # the Interrupt escapes dier
         sim.run()
         assert f.value == 7.0
+
+
+class TestContinuations:
+    """``Store.get_then`` / ``Resource.use_then`` schedule exactly the
+    heap entries ``get()`` / ``use()`` schedule: a consumer written as a
+    callback machine leaves the same timeline as the same consumer
+    written as a process."""
+
+    COSTS = (2.0, 3.0, 1.0, 4.0)
+
+    def _world(self, machine, seed):
+        rng = random.Random(seed)
+        sim = Simulator()
+        store = Store(sim, capacity=3, name="fifo")
+        res = Resource(sim, name="cpu")
+        log = []
+
+        def producer():
+            for i in range(40):
+                gap = rng.choice((0.0, 0.0, 1.0, 2.0, 7.0))
+                if gap:
+                    yield sim.timeout(gap)
+                if i % 3:
+                    if not store.try_put(i):
+                        log.append(("drop", sim.now, i))
+                else:
+                    yield store.put(i)  # blocks while the store is full
+
+        def rival():
+            # Holds the resource on integer boundaries, so it ties with
+            # (and contends against) the consumer's steps.
+            for hold in range(25):
+                yield sim.timeout(float(rng.choice((1, 2, 3))))
+                yield from res.use(float(hold % 4 + 1))
+                log.append(("rival", sim.now))
+
+        costs = self.COSTS
+        if machine == "process":
+
+            def consumer():
+                while True:
+                    item = yield store.get()
+                    yield from res.use(costs[item % 4])
+                    log.append(("a", sim.now, item))
+                    yield from res.use(costs[(item + 1) % 4])
+                    log.append(("b", sim.now, item))
+
+            sim.process(consumer())
+        else:
+
+            def on_item(item):
+                res.use_then(costs[item % 4], after_a, item)
+
+            def after_a(item):
+                log.append(("a", sim.now, item))
+                res.use_then(costs[(item + 1) % 4], after_b, item)
+
+            def after_b(item):
+                log.append(("b", sim.now, item))
+                store.get_then(on_item)
+
+            sim.schedule_callback(0.0, store.get_then, on_item)
+        sim.process(producer())
+        sim.process(rival())
+        times = []
+        while sim.peek() != float("inf"):
+            times.append(sim.peek())
+            sim.step()
+        return times, sim.events_processed, log
+
+    @pytest.mark.parametrize("core", ["calendar", "heap"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_timeline_as_process(self, core, seed):
+        with engine.use_core(core):
+            process = self._world("process", seed)
+            machine = self._world("machine", seed)
+        assert machine == process
+        assert any(entry[0] == "rival" for entry in machine[2])
+        assert sum(entry[0] == "b" for entry in machine[2]) > 10
+
+    def test_use_then_contended_waits_in_fifo_order(self):
+        sim = Simulator()
+        res = Resource(sim)
+        done = []
+
+        def holder():
+            yield from res.use(10.0)
+
+        sim.process(holder())
+        sim.schedule_callback(1.0, res.use_then, 2.0, done.append, "x")
+        sim.schedule_callback(2.0, res.use_then, 3.0, done.append, "y")
+        sim.run(until=11.0)
+        assert (res.in_use, res.queued, done) == (1, 1, [])
+        sim.run()
+        assert done == ["x", "y"] and sim.now == 15.0
+        assert (res.in_use, res.queued) == (0, 0)
+
+    def test_get_then_blocked_then_handed_an_item(self):
+        sim = Simulator()
+        store = Store(sim)
+        got = []
+        store.get_then(lambda item: got.append((sim.now, item)))
+        sim.schedule_callback(5.0, store.try_put, "late")
+        sim.run()
+        assert got == [(5.0, "late")] and len(store) == 0
+
+    def test_get_then_unblocks_a_waiting_putter(self):
+        sim = Simulator()
+        store = Store(sim, capacity=1)
+        store.try_put("first")
+        put = store.put("second")
+        got = []
+        store.get_then(got.append)
+        sim.run()
+        assert got == ["first"] and put.processed
+        assert list(store.items) == ["second"]
