@@ -301,13 +301,16 @@ class SplitC:
         self.timings.compute_us += self.sim.now - t0
 
     # ------------------------------------------------------------ handlers
-    def _on_message(self, src: int, raw: bytes):
+    def _on_message(self, src: int, raw: bytes) -> Optional[Tuple[bytes, bool]]:
+        """Apply one incoming message; return the reply to send back to
+        ``src`` as ``(data, bulk)``, or None.  Every branch changes state
+        first and replies last, so the transport sends the reply after
+        the handler returns."""
         kind = raw[0]
         if kind == K_READ_REQ:
             _, req_id, name_id, index = _READ_REQ.unpack(raw)
             value = self._arrays[name_id].flat[index]
-            reply = _READ_REP.pack(K_READ_REP, req_id, value.tobytes())
-            yield from self.transport.send(self.rank, src, reply)
+            return _READ_REP.pack(K_READ_REP, req_id, value.tobytes()), False
         elif kind == K_READ_REP:
             _, req_id, value = _READ_REP.unpack(raw)
             self._resolve(req_id, value)
@@ -315,9 +318,7 @@ class SplitC:
             _, req_id, name_id, index, raw_value = _WRITE_REQ.unpack(raw)
             array = self._arrays[name_id]
             array.flat[index] = np.frombuffer(raw_value, dtype=array.dtype)[0]
-            yield from self.transport.send(
-                self.rank, src, _ACK.pack(K_WRITE_ACK, req_id)
-            )
+            return _ACK.pack(K_WRITE_ACK, req_id), False
         elif kind == K_WRITE_ACK:
             _, req_id = _ACK.unpack(raw)
             if req_id in self._futures:
@@ -334,15 +335,12 @@ class SplitC:
             array = self._arrays[name_id]
             values = np.frombuffer(raw[_BULK_PUT.size :], dtype=array.dtype)
             array.reshape(-1)[start : start + values.size] = values
-            yield from self.transport.send(
-                self.rank, src, _ACK.pack(K_WRITE_ACK, req_id)
-            )
+            return _ACK.pack(K_WRITE_ACK, req_id), False
         elif kind == K_GET_REQ:
             _, req_id, name_id, start, count = _GET_REQ.unpack(raw)
             flat = self._arrays[name_id].reshape(-1)
             data = flat[start : start + count].tobytes()
-            reply = _GET_REP.pack(K_GET_REP, req_id) + data
-            yield from self.transport.send_bulk(self.rank, src, reply)
+            return _GET_REP.pack(K_GET_REP, req_id) + data, True
         elif kind == K_GET_REP:
             _, req_id = _GET_REP.unpack(raw[: _GET_REP.size])
             self._resolve(req_id, raw[_GET_REP.size :])
@@ -359,15 +357,14 @@ class SplitC:
             array = self._arrays[name_id]
             array.flat[idx1] = np.frombuffer(v1, dtype=array.dtype)[0]
             array.flat[idx2] = np.frombuffer(v2, dtype=array.dtype)[0]
-            yield from self.transport.send(
-                self.rank, src, _ACK.pack(K_WRITE_ACK, 0)
-            )
+            return _ACK.pack(K_WRITE_ACK, 0), False
         elif kind == K_BARRIER_GO:
             _, epoch = _BARRIER.unpack(raw)
             if epoch in self._barrier_go:
                 self._barrier_go.pop(epoch).succeed()
             else:
                 self._barrier_done.add(epoch)
+        return None
 
     def _resolve(self, req_id: int, value) -> None:
         future = self._futures.pop(req_id, None)

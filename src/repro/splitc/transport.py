@@ -2,21 +2,28 @@
 
 Both transports move *bytes* produced by the runtime's codec and hand
 them to a per-rank message callback.  The callback runs in the
-receiving rank's context (its CPU time is charged there) and may itself
-send messages.
+receiving rank's context (its CPU time is charged there).  It is a
+plain function: it applies the message and returns at most one reply,
+``(data, bulk)``, which the transport sends back to the source.
 """
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim import AnyOf, Event, Resource, Simulator, Store
-from repro.splitc.machines import MachineSpec
+from repro.splitc.machines import ATM_CLUSTER, MachineSpec
 
-#: message callback: (src_rank, raw_bytes) -> generator
-MessageHandler = Callable[[int, bytes], object]
+#: a handler's reply: (data, bulk)
+Reply = Tuple[bytes, bool]
+#: message callback: (src_rank, raw_bytes) -> reply or None
+MessageHandler = Callable[[int, bytes], Optional[Reply]]
+
+
+def _batch_done() -> None:
+    """The zero-delay entry that ends an arrival batch (see
+    :meth:`ModelTransport._deliver`)."""
 
 
 class ModelTransport:
@@ -38,6 +45,11 @@ class ModelTransport:
     accident of heap insertion order, which the schedule-order race
     detector flags and the tie-break perturbation harness confirms as
     metric divergence.
+
+    The NIC pump and the receive path are callback state machines on
+    ``Store.get_then``/``Resource.use_then`` (DESIGN.md §5 "Callback
+    firmware"): each step schedules the heap entries a generator
+    process would, at the same ``(time, seq)`` positions.
     """
 
     def __init__(self, sim: Simulator, machine: MachineSpec, nprocs: int):
@@ -47,6 +59,7 @@ class ModelTransport:
         self.machine = machine
         self.nprocs = nprocs
         self.cpus = [Resource(sim, 1, name=f"pe{r}.cpu") for r in range(nprocs)]
+        #: per-source NIC queue of (src, dst, data, bulk bytes)
         self._nic_out: List[Store] = [Store(sim) for _ in range(nprocs)]
         self._handlers: Dict[int, MessageHandler] = {}
         #: per-receiver: arrival instant -> [(src, send seq, data), ...]
@@ -57,33 +70,49 @@ class ModelTransport:
         self.messages = 0
         self.bulk_bytes = 0
         for rank in range(nprocs):
-            sim.process(self._nic_pump(rank), name=f"pe{rank}.nic")
+            sim.schedule_callback(0.0, self._nic_next, rank)
 
     def attach(self, rank: int, handler: MessageHandler) -> None:
         self._handlers[rank] = handler
 
-    # -- sending (generators, called from app/handler context) -----------
+    # -- sending (generators, called from app context) -------------------
     def send(self, src: int, dst: int, data: bytes):
         """Small Active Message: sender busy for one overhead."""
         yield from self.cpus[src].use(self.machine.overhead_us)
-        self.messages += 1
-        self._nic_out[src].try_put((dst, data, 0))
+        self._queue(src, dst, data, False)
 
     def send_bulk(self, src: int, dst: int, data: bytes):
         """Bulk transfer: sender overhead, then the NIC streams it."""
         yield from self.cpus[src].use(self.machine.overhead_us)
-        self.messages += 1
-        self.bulk_bytes += len(data)
-        self._nic_out[src].try_put((dst, data, len(data)))
+        self._queue(src, dst, data, True)
 
-    # -- internals ---------------------------------------------------------
-    def _nic_pump(self, rank: int):
-        while True:
-            dst, data, bulk_bytes = yield self._nic_out[rank].get()
-            if bulk_bytes:
-                # serialization onto the network at machine bandwidth
-                yield self.sim.timeout(self.machine.bulk_wire_us(bulk_bytes))
-            self._post(rank, dst, data)
+    def _queue(self, src: int, dst: int, data: bytes, bulk: bool) -> None:
+        """Hand a message whose send overhead is paid to src's NIC."""
+        self.messages += 1
+        nbytes = 0
+        if bulk:
+            nbytes = len(data)
+            self.bulk_bytes += nbytes
+        self._nic_out[src].try_put((src, dst, data, nbytes))
+
+    # -- NIC pump ----------------------------------------------------------
+    def _nic_next(self, rank: int) -> None:
+        self._nic_out[rank].get_then(self._nic_item)
+
+    def _nic_item(self, item: Tuple[int, int, bytes, int]) -> None:
+        bulk_bytes = item[3]
+        if bulk_bytes:
+            # serialization onto the network at machine bandwidth
+            self.sim.schedule_callback(
+                self.machine.bulk_wire_us(bulk_bytes), self._nic_sent, item
+            )
+        else:
+            self._nic_sent(item)
+
+    def _nic_sent(self, item: Tuple[int, int, bytes, int]) -> None:
+        src, dst, data, _ = item
+        self._post(src, dst, data)
+        self._nic_next(src)
 
     def _post(self, src: int, dst: int, data: bytes) -> None:
         """Register an arrival one wire latency from now.
@@ -101,24 +130,50 @@ class ModelTransport:
         else:
             batch.append((src, self._arrival_seq, data))
 
+    # -- receive path ------------------------------------------------------
     def _drain(self, dst: int, arrival: float) -> None:
         batch = self._arrivals[dst].pop(arrival)
-        batch.sort()
-        self.sim.process(self._deliver_batch(dst, batch))
+        # delivery pops from the end: lowest (src, send seq) first
+        batch.sort(reverse=True)
+        self.sim.schedule_callback(0.0, self._deliver, (dst, batch))
 
-    def _deliver_batch(self, dst: int, batch: List[Tuple[int, int, bytes]]):
-        for src, _seq, data in batch:
-            # receive overhead holds the CPU; the handler body runs
-            # outside the hold (its own sends re-acquire the CPU)
-            yield from self.cpus[dst].use(self.machine.overhead_us)
-            handler = self._handlers.get(dst)
-            if handler is not None:
-                yield from handler(src, data)
+    def _deliver(self, state: Tuple[int, list]) -> None:
+        """Start the receive overhead of the batch's next message.
+
+        The receive overhead holds the CPU; the handler runs after the
+        hold, and its reply re-acquires the CPU for the send overhead.
+        Once the batch is empty, one zero-delay no-op entry ends it.  It
+        changes no state, but the pinned timeline digests count it, and
+        the seeded tie shuffles of ``repro.analysis.perturb`` draw one
+        key per scheduled entry, so removing it re-rolls them.
+        """
+        dst, batch = state
+        if batch:
+            self.cpus[dst].use_then(self.machine.overhead_us, self._received, state)
+        else:
+            self.sim.schedule_callback(0.0, _batch_done)
+
+    def _received(self, state: Tuple[int, list]) -> None:
+        dst, batch = state
+        src, _seq, data = batch.pop()
+        handler = self._handlers.get(dst)
+        reply = handler(src, data) if handler is not None else None
+        if reply is None:
+            self._deliver(state)
+        else:
+            self.cpus[dst].use_then(
+                self.machine.overhead_us, self._replied, (state, src, reply)
+            )
+
+    def _replied(self, sent: Tuple[Tuple[int, list], int, Reply]) -> None:
+        state, src, (data, bulk) = sent
+        self._queue(state[0], src, data, bulk)
+        self._deliver(state)
 
     # -- compute charging for the runtime -------------------------------
     def compute(self, rank: int, cm5_us: float):
         """Charge local computation, scaled by the machine's CPU speed."""
-        yield from self.cpus[rank].use(self.machine.compute_us(cm5_us))
+        return self.cpus[rank].use(self.machine.compute_us(cm5_us))
 
 
 class UNetTransport:
@@ -203,11 +258,15 @@ class UNetTransport:
     def _install_handlers(self, rank: int) -> None:
         uam = self.uams[rank]
 
+        # UAM runs handlers as generators; the Split-C handler itself
+        # is a plain function whose reply goes out through the outbox.
         def small(uam_obj, channel_id, msg, _rank=rank):
             src = self._rank_of_channel[_rank].get(channel_id)
             handler = self._handlers.get(_rank)
             if src is not None and handler is not None:
-                yield from handler(src, msg.payload)
+                self._reply(_rank, src, handler(src, msg.payload))
+            return
+            yield  # pragma: no cover
 
         def bulk(uam_obj, channel_id, msg, _rank=rank):
             src = self._rank_of_channel[_rank].get(channel_id)
@@ -215,7 +274,9 @@ class UNetTransport:
             if src is None or handler is None:
                 return
             raw = bytes(uam_obj.memory[msg.base : msg.base + msg.total])
-            yield from handler(src, raw)
+            self._reply(_rank, src, handler(src, raw))
+            return
+            yield  # pragma: no cover
 
         uam.register_handler(self.SMALL_HANDLER, small)
         uam.register_handler(self.BULK_HANDLER, bulk)
@@ -231,6 +292,12 @@ class UNetTransport:
         self._enqueue(src, dst, data, bulk=True)
         return
         yield  # pragma: no cover
+
+    def _reply(self, src: int, dst: int, reply: Optional[Reply]) -> None:
+        """Queue a handler's reply, as ``send``/``send_bulk`` would."""
+        if reply is not None:
+            data, bulk = reply
+            self._enqueue(src, dst, data, bulk=bulk or len(data) > 36)
 
     def _enqueue(self, src: int, dst: int, data: bytes, bulk: bool) -> None:
         self._outbox[src].append((dst, data, bulk))
@@ -282,7 +349,5 @@ class UNetTransport:
     def compute(self, rank: int, cm5_us: float):
         """Charge local computation on the rank's real host CPU (the ATM
         cluster machines are ~3.2x a CM-5 node)."""
-        from repro.splitc.machines import ATM_CLUSTER
-
         host = self.sessions[rank].host
-        yield from host.cpu.compute_raw(cm5_us / ATM_CLUSTER.cpu_factor)
+        return host.cpu.compute_raw(cm5_us / ATM_CLUSTER.cpu_factor)

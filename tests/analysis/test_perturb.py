@@ -144,8 +144,6 @@ def _model_transport_metrics():
 
     def handler(src, data):
         log.append(src)
-        return
-        yield
 
     tp.attach(0, handler)
 
@@ -169,10 +167,62 @@ def test_model_transport_arrivals_are_order_stable(monkeypatch):
 
 
 def test_fig5_scenario_has_no_confirmed_races():
-    """The figure-5 Split-C run must not depend on the tie-break."""
+    """The figure-5 Split-C run is stable under lifo and random:1.
+
+    This is not a proof that fig5 is free of tie-order races: with more
+    seeded shuffles it diverges (see
+    ``test_fig5_receiver_cpu_race_is_latent``).  random:1 happens not to
+    reorder the racing pair, and it stays that way only while the
+    transport schedules the same entries in the same order."""
     verdict = perturb.race_check("fig5", random_orders=1)
     assert not verdict.diverged, verdict.format()
     assert verdict.confirmed == []
+
+
+#: fig5's per-order metrics under race_check(random_orders=8), recorded
+#: from the generator ModelTransport.  random:3 and random:5 hit the
+#: latent receiver-CPU race.
+_FIG5_STABLE = {
+    "comm_us": "0x1.036e51e5f53dbp+11",
+    "total_us": "0x1.4df8fe5e8c7f0p+11",
+    "verified": "1",
+}
+_FIG5_RACED = {
+    "comm_us": "0x1.04009b0a8786dp+11",
+    "total_us": "0x1.4e8b47831ec82p+11",
+    "verified": "1",
+}
+FIG5_ORDER_METRICS = {
+    "fifo": _FIG5_STABLE,
+    "lifo": _FIG5_STABLE,
+    **{
+        f"random:{seed}": _FIG5_RACED if seed in (3, 5) else _FIG5_STABLE
+        for seed in range(1, 9)
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def fig5_eight_orders():
+    return perturb.race_check("fig5", random_orders=8)
+
+
+def test_fig5_perturbation_outcomes_are_pinned(fig5_eight_orders):
+    verdict = fig5_eight_orders
+    got = {"fifo": verdict.baseline.metrics}
+    got.update((run.order, run.metrics) for run in verdict.runs)
+    assert got == FIG5_ORDER_METRICS
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="latent receiver-CPU race: an arrival batch can start at the "
+    "instant an earlier hold on the same CPU ends, with no schedule edge "
+    "between them, so random:3 and random:5 change fig5's comm_us and "
+    "total_us",
+)
+def test_fig5_receiver_cpu_race_is_latent(fig5_eight_orders):
+    assert not fig5_eight_orders.diverged, fig5_eight_orders.format()
 
 
 # -- run_scenario plumbing -------------------------------------------------

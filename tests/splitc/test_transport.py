@@ -11,8 +11,6 @@ from repro.splitc.machines import MachineSpec
 def collect(sim, transport, rank, hits):
     def handler(src, data):
         hits.append((sim.now, src, data))
-        return
-        yield
 
     transport.attach(rank, handler)
 
@@ -76,12 +74,10 @@ class TestModelTransportTiming:
             times = {}
 
             def echo(src, data):
-                yield from tp.send(1, 0, data)
+                return data, False
 
             def done(src, data):
                 times["t1"] = sim.now
-                return
-                yield
 
             tp.attach(1, echo)
             tp.attach(0, done)
@@ -103,12 +99,10 @@ class TestModelTransportTiming:
         got = {}
 
         def echo(src, data):
-            yield from tp.send(1, src, b"re:" + data)
+            return b"re:" + data, False
 
         def sink(src, data):
             got["reply"] = data
-            return
-            yield
 
         tp.attach(1, echo)
         tp.attach(0, sink)
@@ -159,6 +153,33 @@ class TestUNetTransport:
         sim.process(main())
         sim.run(until=1e7)
         assert hits and hits[0][2] == blob
+
+    def test_replies_over_36_bytes_or_flagged_bulk_use_uam_store(self):
+        """A handler's reply goes bulk when flagged or when it does not
+        fit one UAM request, exactly as ``send``/``send_bulk`` route."""
+        sim, tp = self._build(2)
+        replies = {b"long": (bytes(range(40)), False), b"bulk": (b"tiny", True)}
+        stored = []
+        store = tp.uams[1].store
+
+        def recording_store(channel, data, **kwargs):
+            stored.append(data)
+            return store(channel, data, **kwargs)
+
+        tp.uams[1].store = recording_store
+        tp.attach(1, lambda src, data: replies[data])
+        hits = []
+        collect(sim, tp, 0, hits)
+
+        def main():
+            yield from tp.start()
+            yield from tp.send(0, 1, b"long")
+            yield from tp.send(0, 1, b"bulk")
+
+        sim.process(main())
+        sim.run(until=1e7)
+        assert stored == [bytes(range(40)), b"tiny"]
+        assert [h[2] for h in hits] == stored
 
     def test_all_pairs_connected(self):
         sim, tp = self._build(3)
