@@ -13,11 +13,22 @@ Three layers of evidence, strongest first:
   behave exactly like the seed engine's hand-written loop, verified
   against a verbatim copy of the pre-refactor ``run()``/``step()``.
 
-All three compare the cores inside one build; the absolute scenario
-outputs are pinned across commits by ``tests/analysis/test_scenario_golden.py``.
+All three compare the cores inside one build.  The randomized
+timelines are also pinned across commits, as digests in
+``golden/engine_timelines.json``; the absolute scenario outputs are
+pinned by ``tests/analysis/test_scenario_golden.py``.  A change that
+alters the engine's order on purpose regenerates the timeline file::
+
+    PYTHONPATH=src python tests/sim/test_core_equivalence.py --write
+
+and says so in CHANGES.md.
 """
 
+import hashlib
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +36,7 @@ from repro.analysis import perturb
 from repro.sim import Simulator, engine
 
 CORES = list(engine.CORES)
+GOLDEN = Path(__file__).with_name("golden") / "engine_timelines.json"
 
 
 # --------------------------------------------------------------------------
@@ -104,6 +116,34 @@ def _timeline(core, seed, use_timers=True):
         log = []
         _exercise(sim, seed, log, use_timers=use_timers)
         return log, sim.events_processed, sim.now.hex()
+
+
+def _digest(core, seed, use_timers):
+    """The golden record of one randomized run: the sha256 of its
+    execution log (one ``now.hex() kind tag`` line per entry), the
+    entry count and the final clock."""
+    log, processed, now = _timeline(core, seed, use_timers=use_timers)
+    lines = "\n".join(f"{t} {kind} {tag}" for t, kind, tag in log)
+    return {
+        "log_sha256": hashlib.sha256(lines.encode()).hexdigest(),
+        "log_len": len(log),
+        "events_processed": processed,
+        "now": now,
+    }
+
+
+def _golden_key(seed, use_timers):
+    return f"seed{seed}-{'timers' if use_timers else 'no-timers'}"
+
+
+@pytest.mark.parametrize("use_timers", [True, False], ids=["timers", "no-timers"])
+@pytest.mark.parametrize("seed", range(8))
+def test_randomized_timeline_matches_golden(seed, use_timers):
+    expected = json.loads(GOLDEN.read_text())[_golden_key(seed, use_timers)]
+    for core in CORES:
+        assert _digest(core, seed, use_timers) == expected, core
+    assert expected["log_len"] > 50  # the workload exercised the engine
+    assert expected["events_processed"] >= expected["log_len"]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -211,3 +251,16 @@ def test_unmonitored_loops_match_seed_behaviour(seed):
     expected = (reference, sim.events_processed, sim.now.hex())
     for core in CORES:
         assert _timeline(core, seed, use_timers=False) == expected, core
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_core_equivalence.py --write")
+    table = {
+        _golden_key(seed, timers): _digest(CORES[0], seed, timers)
+        for seed in range(8)
+        for timers in (True, False)
+    }
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN} ({len(table)} timelines)")
