@@ -21,7 +21,7 @@ Two mechanisms, picked by what the warmed world contains:
 * :func:`store_snapshot` / :func:`load_snapshot` — **persistent
   snapshots** for callback/timer-only worlds.  The whole warmed
   :class:`~repro.sim.Simulator` (pickling it drags the reachable model
-  world along through the bound methods in its calendar) is stored
+  world along through the bound methods in its schedule) is stored
   content-addressed under the bench-cache directory, keyed like a cache
   entry: parameters, source digest, engine configuration and
   :data:`CHECKPOINT_SCHEMA`.  Editing any model source orphans every
@@ -31,9 +31,9 @@ Two mechanisms, picked by what the warmed world contains:
 Known unsoundness (documented, not defended): a snapshot taken while a
 timer is outstanding restores the *same* :class:`TimerHandle` objects,
 so restoring twice into the same process aliases their cancellation
-state; micro-statistics (near/far push counters) are not part of the
-snapshot and restart from zero; and the restored world re-reads engine
-configuration (core, shard count) from the restoring process, which is a
+state; the timer free list is not part of the snapshot and restarts
+empty; and the restored world re-reads engine
+configuration (the shard count) from the restoring process, which is a
 feature for A/B work and a foot-gun otherwise.  See DESIGN.md §12.
 """
 
@@ -148,8 +148,6 @@ def snapshot_key(tag: str, params: Any) -> str:
     h.update(cache._canonical(params).encode())
     h.update(b"\0")
     h.update(cache.source_digest().encode())
-    h.update(b"\0")
-    h.update(engine.current_core().encode())
     h.update(b"\0shards=%d" % engine.shard_count())
     h.update(b"\0")
     h.update(cache.numpy_tag().encode())

@@ -5,7 +5,7 @@ Three execution modes, one observable timeline (DESIGN.md §8):
 * ``shards=1`` — :class:`~repro.sim.engine.Simulator` construction is
   untouched: the plain single-timeline engine, byte-identical code path.
 * **inline** (``REPRO_SIM_SHARDS=N`` in one process) —
-  :class:`ShardedSimulator` runs N calendar timelines under the
+  :class:`ShardedSimulator` runs N heap timelines under the
   deterministic ``(timestamp, shard)`` merge, pushing every cut-edge
   message through the real struct codec and lookahead assertions.  This
   is the verification mode the fig-scenario A/B suite runs.

@@ -1,19 +1,19 @@
-"""The in-process sharded engine: N calendar timelines, one merge rule.
+"""The in-process sharded engine: N heap timelines, one merge rule.
 
 :class:`ShardedSimulator` partitions the schedule across ``n_shards``
-independent calendar-queue timelines (each built by the same
-battle-tested ``_build_calendar_core`` factory as the single-core
-engine) and executes them under a deterministic merge:
+independent heap timelines (each running the single-timeline
+:class:`~repro.sim.engine.Simulator`'s own schedule and step methods)
+and executes them under a deterministic merge:
 
     pick the timeline whose earliest pending entry has the globally
     minimal ``(timestamp, shard_id)``; step it once.
 
-Within a shard the calendar core preserves the engine's exact
-``(timestamp, seq)`` FIFO order; across shards, same-timestamp groups
-drain in shard order.  Cross-shard tie order is precisely the freedom
-the engine has never promised (the PR 3 perturbation harness exists to
-prove scenario metrics don't depend on it), and the A/B suite pins the
-resulting metrics to the single-core run at full float precision.
+Within a shard the heap preserves the engine's exact ``(timestamp,
+seq)`` FIFO order; across shards, same-timestamp groups drain in shard
+order.  Cross-shard tie order is precisely the freedom the engine has
+never promised (the perturbation harness exists to prove scenario
+metrics don't depend on it), and the A/B suite pins the resulting
+metrics to the single-timeline run at full float precision.
 
 This mode runs in one process — it cannot speed anything up.  Its job
 is *verification*: every fig-scenario A/B run drives the cut channels,
@@ -45,71 +45,47 @@ _INF = float("inf")
 
 
 class _Timeline:
-    """One shard's calendar queue: the minimal host the core factory needs.
+    """One shard's heap timeline: a bare host for ``Simulator``'s heap
+    methods, which only touch ``_now`` / ``_seq`` / ``_heap`` /
+    ``_timer_pool`` / ``events_processed``.  The sharded engine owns
+    the event factories, the clock model code reads and the merge."""
 
-    ``_build_calendar_core`` only ever touches ``sim._now``,
-    ``sim.events_processed`` and ``sim._heap`` on the object it is
-    handed, so a 14-slot shell is enough to own a full calendar core.
-    """
+    __slots__ = ("_now", "events_processed", "_heap", "_seq", "_timer_pool")
 
-    __slots__ = (
-        "_now",
-        "events_processed",
-        "_heap",
-        "schedule_callback",
-        "schedule_callback_at",
-        "_schedule",
-        "_schedule_event_at",
-        "schedule_timer",
-        "run",
-        "step",
-        "peek",
-        "stats",
-        "snapshot",
-        "restore",
-    )
-
-    def __init__(self, width: float):
-        self._now = 0.0
-        self.events_processed = 0
-        (
-            self.schedule_callback,
-            self.schedule_callback_at,
-            self._schedule,
-            self._schedule_event_at,
-            self.schedule_timer,
-            self.run,
-            self.step,
-            self.peek,
-            self.stats,
-            self.snapshot,
-            self.restore,
-        ) = _engine._build_calendar_core(self, width)
-
-
-class _MonitoredTimeline:
-    """One shard's *monitored* timeline: a heap core reporting to a
-    shared obs monitor through its per-shard view.
-
-    Borrows ``_MonitoredSimulator``'s schedule methods and generated
-    step loop verbatim (they only touch ``_now`` / ``_seq`` / ``_heap``
-    / ``_timer_pool`` / ``_mon``), so span context propagates along
-    schedule→execute edges across *all* timelines of one
-    :class:`ShardedSimulator` — the shared monitor's entry ids are
-    globally monotonic, which preserves each timeline's FIFO tie-break
-    exactly.  Only constructed when a shard-aware monitor is armed; the
-    off path keeps building plain calendar :class:`_Timeline` shells.
-    """
-
-    __slots__ = ("_now", "events_processed", "_heap", "_seq",
-                 "_timer_pool", "_mon")
-
-    def __init__(self, view: Any):
+    def __init__(self) -> None:
         self._now = 0.0
         self.events_processed = 0
         self._heap: List[tuple] = []
         self._seq = 0
         self._timer_pool: List[Any] = []
+
+    schedule_callback = Simulator.schedule_callback
+    schedule_callback_at = Simulator.schedule_callback_at
+    _schedule = Simulator._schedule
+    _schedule_event_at = Simulator._schedule_event_at
+    schedule_timer = Simulator.schedule_timer
+    _execute = Simulator._execute
+    step = Simulator.step
+    peek = Simulator.peek
+    stats = Simulator.stats
+
+
+class _MonitoredTimeline(_Timeline):
+    """One shard's *monitored* timeline, reporting to a shared obs
+    monitor through its per-shard view.
+
+    Borrows ``_MonitoredSimulator``'s schedule methods and step
+    verbatim, so span context propagates along schedule→execute edges
+    across *all* timelines of one :class:`ShardedSimulator` — the shared
+    monitor's entry ids are globally monotonic, which preserves each
+    timeline's FIFO tie-break exactly.  Only constructed when a
+    shard-aware monitor is armed.
+    """
+
+    __slots__ = ("_mon",)
+
+    def __init__(self, view: Any):
+        super().__init__()
         self._mon = view
 
     schedule_callback = _engine._MonitoredSimulator.schedule_callback
@@ -118,8 +94,6 @@ class _MonitoredTimeline:
     _schedule_event_at = _engine._MonitoredSimulator._schedule_event_at
     schedule_timer = _engine._MonitoredSimulator.schedule_timer
     step = _engine._MonitoredSimulator.step
-    peek = _engine._HeapSimulator.peek
-    stats = _engine._HeapSimulator.stats
 
 
 class _ShardScope:
@@ -150,6 +124,17 @@ class ShardedSimulator(Simulator):
         "n_shards",
         "_cross_messages",
         "_channels",
+        # Per-instance closures routing to the executing shard; they
+        # shadow the single-timeline methods of the same names.
+        "schedule_callback",
+        "schedule_callback_at",
+        "_schedule",
+        "_schedule_event_at",
+        "schedule_timer",
+        "run",
+        "step",
+        "peek",
+        "stats",
     )
 
     def __new__(cls, n_shards: Optional[int] = None) -> "ShardedSimulator":
@@ -165,7 +150,6 @@ class ShardedSimulator(Simulator):
         self.n_shards = n
         self._cross_messages = 0
         self._channels: List[InlineChannel] = []
-        width = self.NEAR_WINDOW_US
         # A shard-aware monitor (obs spans) rides into the sharded
         # engine: one shared monitor, one per-shard view per timeline.
         factory = _engine._monitor_factory
@@ -176,15 +160,15 @@ class ShardedSimulator(Simulator):
             ]
         else:
             mon = None
-            timelines = [_Timeline(width) for _ in range(n)]
+            timelines = [_Timeline() for _ in range(n)]
         self._mon = mon
         self._timelines = timelines
         cur = [0]
         self._cur = cur
 
-        # Route the scheduling surface to the currently-executing shard.
-        # These live in the same instance slots the single-core engine
-        # uses for its closures, so model code sees an identical API.
+        # Route the scheduling surface to the currently-executing shard,
+        # under the single-timeline engine's method names, so model code
+        # sees an identical API.
         def schedule_callback(delay, fn, *args):
             return timelines[cur[0]].schedule_callback(delay, fn, *args)
 
@@ -261,30 +245,17 @@ class ShardedSimulator(Simulator):
 
         def stats():
             per_shard = [tl.stats() for tl in timelines]
-            merged = {
-                "core": "sharded-calendar",
+            return {
+                "core": "sharded-heap" if mon is None else "sharded-heap-monitored",
                 "shards": n,
                 "cross_messages": self._cross_messages,
                 "cut_edges": len(self._channels),
                 "events_per_shard": [
                     tl.events_processed for tl in timelines
                 ],
+                "schedules": sum(s["schedules"] for s in per_shard),
+                "depth": sum(s["depth"] for s in per_shard),
             }
-            if mon is not None:
-                merged["core"] = "sharded-heap-monitored"
-            for key in (
-                "schedules",
-                "front_inserts",
-                "near_pushes",
-                "far_spills",
-                "promotions",
-                "near_depth",
-                "far_depth",
-            ):
-                # Monitored timelines report heap stats, which lack the
-                # calendar-only keys; missing counts read as zero.
-                merged[key] = sum(s.get(key, 0) for s in per_shard)
-            return merged
 
         self.schedule_callback = schedule_callback
         self.schedule_callback_at = schedule_callback_at

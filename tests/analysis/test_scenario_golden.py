@@ -1,7 +1,5 @@
 """Golden lock on the perturbation scenarios' outputs and event timelines.
 
-``test_core_equivalence.py`` compares the two scheduler cores inside
-one build, so a change that moves both cores the same way passes it.
 This test pins every :mod:`repro.analysis.perturb` scenario (the shrunk
 fig3–fig9 + sample_sort code paths) to committed golden files, so
 neither can drift between commits unnoticed:

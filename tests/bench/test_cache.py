@@ -50,13 +50,11 @@ def test_partial_hits_preserve_order(tmp_cache):
     assert CALLS == [1, 3]  # only the misses ran, results still in order
 
 
-def test_key_varies_by_fn_params_and_core(tmp_cache):
+def test_key_varies_by_fn_and_params(tmp_cache):
     base = cache.cache_key(_square, 3)
     assert cache.cache_key(_square, 3) == base
     assert cache.cache_key(_square, 4) != base
     assert cache.cache_key(_cube, 3) != base
-    with engine.use_core("heap"):
-        assert cache.cache_key(_square, 3) != base
 
 
 def test_key_varies_by_numpy_version(tmp_cache, monkeypatch):

@@ -5,8 +5,8 @@ steps rather than a generator process.  These tests pin its timing to
 values recorded from the generator firmware it replaced:
 
 * a bidirectional exchange in which each host's transmit firmware holds
-  the i960 while cells arrive, so receive steps queue for it -- on both
-  scheduler cores and for every NI model that runs the machine;
+  the i960 while cells arrive, so receive steps queue for it -- for
+  every NI model that runs the machine;
 * the ``ni_rx`` spans (``rx_cell``/``rx_single``/``rx_packet``) it
   emits under ``repro.obs``.
 """
@@ -18,7 +18,7 @@ import pytest
 from repro import obs
 from repro.core import UNetCluster
 from repro.core.endpoint import Endpoint
-from repro.sim import Resource, Simulator, engine
+from repro.sim import Resource, Simulator
 
 from tests.core.conftest import run
 
@@ -119,9 +119,8 @@ def exchange(ni_kind, monkeypatch):
     return deliveries
 
 
-@pytest.mark.parametrize("core", ["calendar", "heap"])
 @pytest.mark.parametrize("ni_kind", sorted(PINNED))
-def test_contended_delivery_times_match_generator_firmware(ni_kind, core, monkeypatch):
+def test_contended_delivery_times_match_generator_firmware(ni_kind, monkeypatch):
     grants = []
     granted_then = Resource._granted_then
 
@@ -130,8 +129,7 @@ def test_contended_delivery_times_match_generator_firmware(ni_kind, core, monkey
         return granted_then(self, *args)
 
     monkeypatch.setattr(Resource, "_granted_then", counting)
-    with engine.use_core(core):
-        deliveries = exchange(ni_kind, monkeypatch)
+    deliveries = exchange(ni_kind, monkeypatch)
     # The receive machine really queued behind the transmit firmware.
     assert {name.split(".")[0] for name in grants} == {"alice", "bob"}
     assert deliveries == PINNED[ni_kind]

@@ -114,7 +114,7 @@ def test_events_processed_sums_timelines_and_stats_merge():
     sim.run()
     assert sim.events_processed == 2
     stats = sim.stats()
-    assert stats["core"] == "sharded-calendar"
+    assert stats["core"] == "sharded-heap"
     assert stats["shards"] == 2
     assert stats["events_per_shard"] == [1, 1]
     assert stats["cross_messages"] == 0

@@ -1,23 +1,21 @@
-"""A/B: the calendar core reproduces the seed heap core bit for bit.
+"""Engine behaviour lock: randomized timelines and the seed loop.
 
-Three layers of evidence, strongest first:
+Two layers of evidence:
 
-* engine-level **timeline identity** on randomized workloads — every
-  executed entry logged as ``(now.hex(), kind, tag)`` must match
-  exactly between cores, including FIFO order inside same-timestamp
-  tie groups;
-* **figure-scenario identity** — every perturbation scenario (the
-  shrunk fig3–fig9 + sample_sort code paths) must produce identical
-  metrics at full float precision under both cores;
-* **seed-loop identity** — the heap core's deduplicated run loop must
-  behave exactly like the seed engine's hand-written loop, verified
-  against a verbatim copy of the pre-refactor ``run()``/``step()``.
+* **timeline goldens** — randomized engine-level workloads (seeds 0–7,
+  with and without timers) log every executed entry as
+  ``(now.hex(), kind, tag)``; the log's sha256, its length,
+  ``events_processed`` and the final clock must match the digests in
+  ``golden/engine_timelines.json``, including FIFO order inside
+  same-timestamp tie groups.  The file was generated when the engine
+  still had two scheduler cores, and both reproduced it;
+* **seed-loop identity** — the engine's run loop must behave exactly
+  like the seed engine's hand-written loop, verified against a
+  verbatim copy of the original ``run()``/``step()``.
 
-All three compare the cores inside one build.  The randomized
-timelines are also pinned across commits, as digests in
-``golden/engine_timelines.json``; the absolute scenario outputs are
-pinned by ``tests/analysis/test_scenario_golden.py``.  A change that
-alters the engine's order on purpose regenerates the timeline file::
+The figure scenarios' outputs and timelines are pinned by
+``tests/analysis/test_scenario_golden.py``.  A change that alters the
+engine's order on purpose regenerates the timeline file::
 
     PYTHONPATH=src python tests/sim/test_core_equivalence.py --write
 
@@ -32,10 +30,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import perturb
 from repro.sim import Simulator, engine
 
-CORES = list(engine.CORES)
 GOLDEN = Path(__file__).with_name("golden") / "engine_timelines.json"
 
 
@@ -48,7 +44,7 @@ def _exercise(sim, seed, log, use_timers=True):
 
     The mix covers every scheduling entry point: relative and absolute
     callbacks (with deliberate same-timestamp ties), far-future entries
-    beyond the calendar horizon, generator processes, triggered events,
+    (protocol-timer distances), generator processes, triggered events,
     and (optionally) timers with mid-run cancellation.  RNG draws happen
     only inside executed entries, so two runs consume the stream
     identically exactly when their execution orders match — any
@@ -72,7 +68,7 @@ def _exercise(sim, seed, log, use_timers=True):
                 sim.now + round(rng.uniform(0.0, 10.0), 3), cb, tag
             )
         elif roll < 0.75:
-            # beyond the calendar near-window: exercises spill/promote
+            # far future: millisecond protocol-timer distances
             sim.schedule_callback(round(rng.uniform(5e3, 3e5), 1), cb, tag)
         elif roll < 0.85:
             sim.process(proc(tag))
@@ -110,19 +106,18 @@ def _exercise(sim, seed, log, use_timers=True):
     sim.run()
 
 
-def _timeline(core, seed, use_timers=True):
-    with engine.use_core(core):
-        sim = Simulator()
-        log = []
-        _exercise(sim, seed, log, use_timers=use_timers)
-        return log, sim.events_processed, sim.now.hex()
+def _timeline(seed, use_timers=True):
+    sim = Simulator()
+    log = []
+    _exercise(sim, seed, log, use_timers=use_timers)
+    return log, sim.events_processed, sim.now.hex()
 
 
-def _digest(core, seed, use_timers):
+def _digest(seed, use_timers):
     """The golden record of one randomized run: the sha256 of its
     execution log (one ``now.hex() kind tag`` line per entry), the
     entry count and the final clock."""
-    log, processed, now = _timeline(core, seed, use_timers=use_timers)
+    log, processed, now = _timeline(seed, use_timers=use_timers)
     lines = "\n".join(f"{t} {kind} {tag}" for t, kind, tag in log)
     return {
         "log_sha256": hashlib.sha256(lines.encode()).hexdigest(),
@@ -140,56 +135,21 @@ def _golden_key(seed, use_timers):
 @pytest.mark.parametrize("seed", range(8))
 def test_randomized_timeline_matches_golden(seed, use_timers):
     expected = json.loads(GOLDEN.read_text())[_golden_key(seed, use_timers)]
-    for core in CORES:
-        assert _digest(core, seed, use_timers) == expected, core
+    assert _digest(seed, use_timers) == expected
     assert expected["log_len"] > 50  # the workload exercised the engine
     assert expected["events_processed"] >= expected["log_len"]
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_randomized_timelines_identical_across_cores(seed):
-    results = {core: _timeline(core, seed) for core in CORES}
-    assert results["calendar"] == results["heap"]
-    log, processed, _ = results["calendar"]
-    assert len(log) > 50  # the workload actually exercised the engine
-    assert processed >= len(log)
-
-
-def test_timelines_cover_far_future_entries():
-    """The randomized mix must actually reach the overflow tier."""
-    with engine.use_core("calendar"):
-        sim = Simulator()
-        log = []
-        _exercise(sim, seed=3, log=log)
-        stats = sim.stats()
-    assert stats["far_spills"] > 0
-    assert stats["promotions"] > 0
-
-
 # --------------------------------------------------------------------------
-# Figure scenarios (fig3–fig9 + sample_sort), full float precision
+# The engine vs. the seed engine's verbatim loop
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", perturb.scenario_names())
-def test_figure_scenario_bit_identical_across_cores(name):
-    results = {}
-    for core in CORES:
-        with engine.use_core(core):
-            metrics = perturb._SCENARIOS[name]()
-        results[core] = perturb._canonical_metrics(metrics)
-    assert results["calendar"] == results["heap"]
-
-
-# --------------------------------------------------------------------------
-# Heap core vs. the seed engine's verbatim loop
-# --------------------------------------------------------------------------
-
-class _SeedLoopSimulator(engine._HeapSimulator):
+class _SeedLoopSimulator(Simulator):
     """The seed engine's hand-written ``run``/``step``, verbatim.
 
-    The deduplicated heap-core loop (rendered from the shared dispatch
-    template) must behave byte-for-byte like this original.  Timers
-    postdate the seed, so seed-comparison workloads exclude them.
+    The engine's run loop (which adds timer dispatch) must behave
+    byte-for-byte like this original.  Timers postdate the seed, so
+    seed-comparison workloads exclude them.
     """
 
     __slots__ = ()
@@ -249,15 +209,14 @@ def test_unmonitored_loops_match_seed_behaviour(seed):
     sim = _SeedLoopSimulator()
     _exercise(sim, seed, reference, use_timers=False)
     expected = (reference, sim.events_processed, sim.now.hex())
-    for core in CORES:
-        assert _timeline(core, seed, use_timers=False) == expected, core
+    assert _timeline(seed, use_timers=False) == expected
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_core_equivalence.py --write")
     table = {
-        _golden_key(seed, timers): _digest(CORES[0], seed, timers)
+        _golden_key(seed, timers): _digest(seed, timers)
         for seed in range(8)
         for timers in (True, False)
     }

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.sim import Resource, Simulator, SimulationError, Store, engine
+from repro.sim import Resource, Simulator, SimulationError, Store
 
 
 class TestStore:
@@ -289,12 +289,10 @@ class TestContinuations:
             sim.step()
         return times, sim.events_processed, log
 
-    @pytest.mark.parametrize("core", ["calendar", "heap"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_same_timeline_as_process(self, core, seed):
-        with engine.use_core(core):
-            process = self._world("process", seed)
-            machine = self._world("machine", seed)
+    def test_same_timeline_as_process(self, seed):
+        process = self._world("process", seed)
+        machine = self._world("machine", seed)
         assert machine == process
         assert any(entry[0] == "rival" for entry in machine[2])
         assert sum(entry[0] == "b" for entry in machine[2]) > 10

@@ -1,11 +1,11 @@
-"""Engine snapshot/restore: round-trip identity, cross-core blobs,
-Event-entry rejection, and whole-simulator pickling.
+"""Engine snapshot/restore: round-trip identity, Event-entry
+rejection, and whole-simulator pickling.
 
 ``snapshot()`` captures the schedule (callbacks and timers, in
 ``(when, seq)`` order) plus ``now``/``seq``/``events_processed``;
 ``restore()`` replays it so the continued run allocates identical
-``(when, seq)`` pairs.  The blob is core-agnostic and a pickled
-Simulator round-trips through it (``__getstate__``/``__setstate__``).
+``(when, seq)`` pairs.  A pickled Simulator round-trips through the
+blob (``__getstate__``/``__setstate__``).
 """
 
 import pickle
@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.engine import SimulationError, set_core
+from repro.sim.engine import SimulationError
 
 LOG = []
 
@@ -87,32 +87,6 @@ def test_restore_into_fresh_simulator_continues_identically():
     base_log, base_now, base_events = _straight_run()
     assert world.log == base_log
     assert prefix == base_log[: len(prefix)]
-    assert sim2.now.hex() == base_now
-    assert sim2.events_processed == base_events
-
-
-@pytest.mark.parametrize("src_core,dst_core", [
-    ("calendar", "heap"), ("heap", "calendar"),
-])
-def test_snapshot_restores_across_cores(src_core, dst_core):
-    base_log, base_now, base_events = _straight_run()
-    try:
-        set_core(src_core)
-        sim = Simulator()
-        world = _Chain(sim)
-        world.start()
-        sim.run(until=40.0)
-        blob = sim.snapshot()
-        assert blob["core"] == src_core
-
-        set_core(dst_core)
-        sim2 = Simulator()
-        sim2.restore(blob)
-        world.sim = sim2
-        sim2.run()
-    finally:
-        set_core("calendar")
-    assert world.log == base_log
     assert sim2.now.hex() == base_now
     assert sim2.events_processed == base_events
 

@@ -12,18 +12,17 @@ generator transport it replaced:
   batches holding both sources;
 * the traffic mixes small messages, a bulk put and a bulk ``get`` reply.
 
-The handler times and ``events_processed`` are checked on both
-scheduler cores; the timestamp-only timeline digest is the one
+The handler times and ``events_processed`` are checked directly; the
+timestamp-only timeline digest is the one
 ``tests/analysis/test_scenario_golden.py`` computes.
 """
 
 import hashlib
 
 import numpy as np
-import pytest
 
 from repro.analysis import race
-from repro.sim import Resource, Simulator, engine
+from repro.sim import Resource, Simulator
 from repro.splitc import CM5, ModelTransport, SplitC
 
 NPROCS = 3
@@ -101,8 +100,7 @@ def exchange():
     return sim, calls, out
 
 
-@pytest.mark.parametrize("core", ["calendar", "heap"])
-def test_contended_exchange_matches_generator_transport(core, monkeypatch):
+def test_contended_exchange_matches_generator_transport(monkeypatch):
     grants, batches = [], []
     granted_then = Resource._granted_then
     drain = ModelTransport._drain
@@ -117,8 +115,7 @@ def test_contended_exchange_matches_generator_transport(core, monkeypatch):
 
     monkeypatch.setattr(Resource, "_granted_then", counting)
     monkeypatch.setattr(ModelTransport, "_drain", recording_drain)
-    with engine.use_core(core):
-        sim, calls, out = exchange()
+    sim, calls, out = exchange()
     # The scenario really exercises what it claims to.
     assert "pe0.cpu" in grants
     assert (0, [1, 2]) in batches
