@@ -10,7 +10,12 @@ neither can drift between commits unnoticed:
   sha256 of the ordered ``time.hex()`` of every processed heap entry,
   plus the number of entries processed.  Timestamps only, no callback
   names: renaming or restructuring a firmware step keeps the digest,
-  while any shifted, added or dropped entry changes it.
+  while any shifted, added or dropped entry changes it.  Next to it,
+  ``outside_switch_sha256`` digests the same times with the switch's own
+  entries (labels ``cb:Switch.*``) left out, and
+  ``outside_switch_events`` counts them: a change to how the switch
+  schedules its internal steps may move the first two fields, but every
+  entry the rest of the model processes must keep its time.
 
 A change that alters the model on purpose regenerates both files::
 
@@ -44,9 +49,18 @@ def _timeline(name):
     with race.detected() as tracker:
         perturb._SCENARIOS[name]()
     times = ",".join(when.hex() for when, _label in tracker.trace)
+    outside = [
+        when.hex()
+        for when, label in tracker.trace
+        if not label.startswith("cb:Switch.")
+    ]
     return {
         "events_processed": len(tracker.trace),
         "timeline_sha256": hashlib.sha256(times.encode()).hexdigest(),
+        "outside_switch_events": len(outside),
+        "outside_switch_sha256": hashlib.sha256(
+            ",".join(outside).encode()
+        ).hexdigest(),
     }
 
 
