@@ -7,7 +7,7 @@ of that rendering is compared with ``golden/sweep_digests.json``.  The
 perturbation goldens under ``tests/analysis/golden/`` pin shrunk
 variants of the same code paths; this file pins what the figures print.
 
-The sweeps run cold (bench cache off) and take ~20 s together, so the
+The sweeps run cold (bench cache off) and take ~15 s together, so the
 tier-1 suite leaves them out; CI runs them in the perf-smoke job::
 
     PYTHONPATH=src python -m pytest -q benchmarks/test_sweep_digests.py

@@ -44,12 +44,12 @@ FAST_PATH_DEFAULT = True
 class CellTrain:
     """A back-to-back burst of cells with an analytic arrival schedule.
 
-    Cell ``i`` arrives at ``arrivals_us[i]``.  Train-aware sinks (the
-    switch input, the NI receive FIFO) accept the whole train in one
-    heap entry and expand it themselves; everyone else receives plain
-    per-cell deliveries.  The arrival floats are exactly the ones the
-    per-cell path would schedule, so expansion is bit-identical to
-    per-cell simulation.
+    Cell ``i`` arrives at ``arrivals_us[i]``.  The one train-aware sink,
+    the switch input, accepts the whole train in one heap entry and
+    carries or expands it itself; everyone else (the NI receive FIFO
+    included) receives plain per-cell deliveries.  The arrival floats
+    are exactly the ones the per-cell path would schedule, so this is
+    bit-identical to per-cell simulation.
     """
 
     __slots__ = ("cells", "arrivals_us")

@@ -10,11 +10,13 @@ turns into AAL5 CRC failures -- the paper's §7.8 cell-loss discussion.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro import obs
-from repro.atm.cell import Cell
+from repro.atm.cell import ATM_CELL_SIZE, Cell
 from repro.atm.link import TAXI_140_BPS, CellTrain, Link
 from repro.obs import metrics as _metrics
 from repro.sim import Simulator, Tracer
@@ -25,6 +27,43 @@ from repro.sim import engine as _engine
 class SwitchRoute:
     out_port: int
     out_vci: int
+
+
+class _CarriedTrain:
+    """A train the switch forwards in one heap entry (``Switch._carry``).
+    A route change lowers ``cut``; deliveries at or past it are void."""
+
+    __slots__ = ("switch", "port", "route", "link", "cells", "arrivals", "cut", "claimed", "busy_us")
+
+    def __init__(self, switch: "Switch", port: int, route: SwitchRoute, train: CellTrain):
+        self.switch = switch
+        self.port = port
+        self.route = route
+        self.link = switch.output_links[route.out_port]
+        self.cells = train.cells
+        self.arrivals = train.arrivals_us
+        self.cut = len(train.cells)
+        self.claimed = False  # the carry has claimed the output link
+        self.busy_us = None  # the link's busy_us metric before the carry
+
+    def deliver(self, i: int, cell: Cell, start: float, depth: int) -> None:
+        """Cell ``i`` leaves the output link.  Its per-cell observations
+        are emitted here, where the cell is past any rollback; histograms
+        and high-water marks do not depend on the order they are fed."""
+        if i >= self.cut:
+            return
+        sw = self.switch
+        _o = obs.active
+        if _o is not None:
+            arrival = self.arrivals[i]
+            lat = sw.switching_latency_us
+            _o.add_complete(arrival, arrival + lat, "xbar", "switch", host=sw.name)
+            _o.add_complete(start, sw.sim._now, "cell", "wire", host=self.link.name)
+        _m = _metrics.active
+        if _m is not None:
+            _m.observe(self.link._mk_txq, depth)
+            _m.gauge_max(sw._mk_buf, depth)
+        self.link._deliver_cell(cell)
 
 
 class Switch:
@@ -44,6 +83,8 @@ class Switch:
         "_k_unrouted",
         "_mk_unrouted",
         "_mk_buf",
+        "_fanin",
+        "_carried",
     )
 
     def __init__(
@@ -87,6 +128,10 @@ class Switch:
         self._k_unrouted = f"{name}.unrouted"
         self._mk_unrouted = f"switch.{name}.unrouted"
         self._mk_buf = f"switch.{name}.buffer_high_water"
+        #: Per output port: input port -> number of routes into it.
+        self._fanin = [Counter() for _ in range(n_ports)]
+        #: Per output port: the train last carried through it.
+        self._carried: Dict[int, _CarriedTrain] = {}
 
     # -- trunks (multi-switch fabrics) ----------------------------------
     def trunk_inlet(self, port: int):
@@ -121,12 +166,16 @@ class Switch:
             raise ValueError(f"route already exists for port {in_port} VCI {in_vci}")
         if _engine.access_hook is not None:
             _engine.access_hook(id(self._routes), f"routes:{self.name}", "w")
+        self._reroute(in_port, out_port)
         self._routes[key] = SwitchRoute(out_port, out_vci)
+        self._fanin[out_port][in_port] += 1
 
     def remove_route(self, in_port: int, in_vci: int) -> None:
         if _engine.access_hook is not None:
             _engine.access_hook(id(self._routes), f"routes:{self.name}", "w")
-        del self._routes[(in_port, in_vci)]
+        route = self._routes.pop((in_port, in_vci))
+        self._reroute(in_port, route.out_port)
+        self._fanin[route.out_port] -= Counter((in_port,))  # drops zero counts
 
     def has_route(self, in_port: int, in_vci: int) -> bool:
         return (in_port, in_vci) in self._routes
@@ -143,10 +192,15 @@ class Switch:
     def input_train_sink(self, port: int):
         """Train-aware variant of :meth:`input_sink`.
 
-        A :class:`CellTrain` is expanded here: cell ``i`` of the train is
-        forwarded exactly as if it had arrived individually at
-        ``train.arrival_us(i)``, so output-link contention and FIFO order
-        against other traffic are preserved cell-for-cell."""
+        Cell ``i`` of a :class:`CellTrain` is forwarded as if it arrived
+        alone at ``arrivals_us[i]``.  A train whose output port only this
+        input routes into, on a link with no loss function, the fast path
+        on and no shard cut, is *carried*: one heap entry runs
+        :meth:`Link.send`'s admission per cell at its own claim time.
+        Other trains are expanded into per-cell receives.  Rollback rule:
+        a route change at ``t`` touching a carried train's input or output
+        port takes back the cells arriving after ``t`` and re-receives
+        them per cell; one arriving exactly at ``t`` keeps its route."""
         self._check_port(port)
 
         def sink(train: CellTrain, _port: int = port) -> None:
@@ -174,16 +228,117 @@ class Switch:
         self.sim.schedule_callback(self.switching_latency_us, self._forward, route, cell)
 
     def _receive_train(self, port: int, train: CellTrain) -> None:
-        # Fires at the first cell's arrival time; later cells are still
-        # on the wire, so each is received at its own arrival offset.
-        # The route is looked up per cell *at arrival time*: circuits
-        # torn down mid-train drop the tail cells, same as per-cell mode.
+        # Fires at the first cell's arrival; the rest are still on the
+        # wire.  Carried, or received per cell at each arrival float.
         cells = train.cells
+        vci = cells[0].vci
+        route = self._routes.get((port, vci))
+        if route is not None:
+            link = self.output_links[route.out_port]
+            if (
+                len(self._fanin[route.out_port]) == 1
+                and link.loss_fn is None
+                and link.fast_path
+                and link._cut is None
+                and all(cell.vci == vci for cell in cells)
+            ):
+                if _engine.access_hook is not None:
+                    _engine.access_hook(id(self._routes), f"routes:{self.name}", "r")
+                carried = _CarriedTrain(self, port, route, train)
+                self._carried[route.out_port] = carried
+                self.sim.schedule_callback(self.switching_latency_us, self._carry, carried)
+                return
         arrivals = train.arrivals_us
         schedule_at = self.sim.schedule_callback_at
         self._receive(port, cells[0])
         for i in range(1, len(cells)):
             schedule_at(arrivals[i], self._receive, port, cells[i])
+
+    def _carry(self, train: _CarriedTrain) -> None:
+        # Link.send per cell at its claim time: prune, queue check, claim.
+        # Entries served by a later claim time are skipped, not popped:
+        # until the train has arrived, a rollback may need the queue back.
+        link = train.link
+        if _engine.access_hook is not None:
+            _engine.access_hook(id(link), f"link:{link.name}", "w")
+        train.claimed = True
+        link._prune()
+        starts = link._starts
+        busy = link._busy_until
+        lat = self.switching_latency_us
+        prop = link.propagation_us
+        cell_time = link.cell_time_us(ATM_CELL_SIZE)
+        schedule_at = self.sim.schedule_callback_at
+        _m = _metrics.active
+        if _m is not None:
+            train.busy_us = _m.counters[link._mk_busy]
+        served = 0
+        queued = len(starts)
+        for i, arrival in enumerate(train.arrivals[: train.cut]):
+            claim = arrival + lat
+            while served < queued and starts[served] <= claim:
+                served += 1
+            depth = queued - served
+            if depth >= link.capacity:
+                # Overflow: per cell from here, so Link.send counts the drop.
+                self._uncarry(train, i)
+                break
+            start = busy if busy > claim else claim
+            busy = start + cell_time
+            starts.append(start)
+            queued += 1
+            if _m is not None:
+                _m.count(link._mk_busy, busy - start)
+            cell = train.cells[i].with_vci(train.route.out_vci)
+            schedule_at(busy + prop, train.deliver, i, cell, start, depth + 1)
+        link._busy_until = busy
+        n = train.cut
+        self.cells_switched += n
+        link.cells_sent += n
+        link.bytes_sent += n * ATM_CELL_SIZE
+
+    def _reroute(self, in_port: int, out_port: int) -> None:
+        """Roll back the carried train a route change at now touches."""
+        for train in self._carried.values():
+            kept = bisect_right(train.arrivals, self.sim._now, 0, train.cut)
+            n = train.cut - kept
+            if not n or (train.port != in_port and train.route.out_port != out_port):
+                continue
+            if train.claimed:
+                link = train.link
+                # The tail's claims are the newest on a link only this
+                # train feeds: pop them, free the wire after the last kept.
+                starts = link._starts
+                for _ in range(n):
+                    starts.pop()
+                cell_time = link.cell_time_us(ATM_CELL_SIZE)
+                link._busy_until = starts[-1] + cell_time
+                self.cells_switched -= n
+                link.cells_sent -= n
+                link.bytes_sent -= n * ATM_CELL_SIZE
+                _m = _metrics.active
+                if _m is not None and train.busy_us is not None:
+                    busy_us = train.busy_us  # a float sum: replay kept cells
+                    for start in list(starts)[-kept:]:
+                        busy_us += start + cell_time - start
+                    _m.counters[link._mk_busy] = busy_us
+            self._uncarry(train, kept)
+
+    def _uncarry(self, train: _CarriedTrain, i: int) -> None:
+        """Hand cells ``i`` up to ``train.cut`` to the per-cell path."""
+        now = self.sim._now
+        lat = self.switching_latency_us
+        schedule_at = self.sim.schedule_callback_at
+        for j in range(i, train.cut):
+            arrival = train.arrivals[j]
+            if arrival > now:
+                schedule_at(arrival, self._receive, train.port, train.cells[j])
+                continue
+            _o = obs.active  # already routed: on to the output, as _receive does
+            if _o is not None:
+                _o.add_complete(arrival, arrival + lat, "xbar", "switch", host=self.name)
+            schedule_at(arrival + lat, self._forward, train.route, train.cells[j])
+        train.cut = i
 
     def _forward(self, route: SwitchRoute, cell: Cell) -> None:
         self.cells_switched += 1

@@ -13,6 +13,7 @@ import pytest
 import repro.atm.link as linkmod
 from repro.atm.aal5 import segment_pdu
 from repro.atm.network import AtmNetwork
+from repro.atm.switch import Switch
 from repro.sim import Simulator
 
 
@@ -118,3 +119,151 @@ class TestEndToEndEquivalence:
         _flip_default(False)
         slow = raw_bandwidth(2048).bytes_per_second
         assert fast == slow
+
+
+class TestCarriedTrains:
+    """The switch carries a train through an output fed by one input port
+    in one heap entry; every observable must match per-cell forwarding
+    (``FAST_PATH_DEFAULT=False``), across mid-train route changes too."""
+
+    PAYLOAD = bytes(4000)  # 84 cells
+
+    @pytest.fixture
+    def arrivals(self, monkeypatch):
+        """The carried train's arrival floats at the switch input."""
+        seen = []
+        receive_train = Switch._receive_train
+
+        def spy(switch, port, train):
+            seen.append(list(train.arrivals_us))
+            receive_train(switch, port, train)
+
+        monkeypatch.setattr(Switch, "_receive_train", spy)
+        self._run(True, monkeypatch)
+        monkeypatch.setattr(Switch, "_receive_train", receive_train)
+        assert len(seen) == 1 and len(seen[0]) == len(segment_pdu(self.PAYLOAD, 32))
+        return seen[0]
+
+    def _run(self, fast_path, monkeypatch, teardown_at=None, second_at=None):
+        """a -> c train; optionally tear its circuit down, or open b -> c
+        and send on it, at ``*_at`` (a simulated time).  Returns what
+        host c saw, the switch, and the output link to c."""
+        monkeypatch.setattr(linkmod, "FAST_PATH_DEFAULT", fast_path)
+        sim = Simulator()
+        net = AtmNetwork(sim, n_ports=3)
+        pa, pb, pc = (net.attach(name) for name in "abc")
+        pair = net.open_virtual_circuit("a", "c")
+        got = []
+        pc.set_rx_sink(lambda cell: got.append((sim.now, cell.vci, cell.seq)))
+        pa.tx_link.put_train(segment_pdu(self.PAYLOAD, pair.tx))
+        if teardown_at is not None:
+            sim.run(until=teardown_at)
+            net.close_virtual_circuit("a", "c", pair)
+        if second_at is not None:
+            sim.run(until=second_at)
+            pair_bc = net.open_virtual_circuit("b", "c")
+            pb.tx_link.put_train(segment_pdu(bytes(1000), pair_bc.tx))
+        sim.run()
+        return got, net.switch, net.switch.output_links[2]
+
+    def _instants(self, arrivals):
+        cell_us = arrivals[1] - arrivals[0]
+        mid = len(arrivals) // 2
+        return [
+            arrivals[0],  # on the first cell: only it keeps the route
+            arrivals[0] + 1.0,  # before the carry entry has claimed
+            arrivals[mid],  # exactly on a mid-train cell's arrival float
+            arrivals[mid] + cell_us / 2,  # between two cells
+            arrivals[-1] - cell_us / 4,  # just before the last cell
+            arrivals[-1] + 1.0,  # after the train: nothing to take back
+        ]
+
+    def test_undisturbed_train_is_carried(self, monkeypatch):
+        got, switch, link = self._run(True, monkeypatch)
+        ref, ref_switch, ref_link = self._run(False, monkeypatch)
+        assert got == ref
+        assert switch._carried and not ref_switch._carried
+        assert switch.cells_switched == ref_switch.cells_switched == len(ref)
+        assert (link.cells_sent, link.bytes_sent) == (ref_link.cells_sent, ref_link.bytes_sent)
+
+    def test_teardown_across_the_train(self, arrivals, monkeypatch):
+        for when in self._instants(arrivals):
+            got, switch, link = self._run(True, monkeypatch, teardown_at=when)
+            ref, ref_switch, ref_link = self._run(False, monkeypatch, teardown_at=when)
+            assert switch._carried, when
+            assert got == ref, when
+            assert switch.cells_unrouted == ref_switch.cells_unrouted, when
+            assert switch.cells_switched == ref_switch.cells_switched, when
+            assert (link.cells_sent, link.bytes_sent, link._busy_until) == (
+                ref_link.cells_sent, ref_link.bytes_sent, ref_link._busy_until
+            ), when
+        # The mid-train instants really split the train.
+        mid = self._instants(arrivals)[2]
+        ref, ref_switch, _ = self._run(False, monkeypatch, teardown_at=mid)
+        assert 0 < ref_switch.cells_unrouted < len(arrivals)
+
+    def test_second_input_mid_train_interleaves_identically(self, arrivals, monkeypatch):
+        for when in self._instants(arrivals):
+            got, switch, _ = self._run(True, monkeypatch, second_at=when)
+            ref, _, _ = self._run(False, monkeypatch, second_at=when)
+            assert switch._carried, when
+            assert got == ref, when
+        mid = self._instants(arrivals)[2]
+        ref, _, _ = self._run(False, monkeypatch, second_at=mid)
+        vcis = [vci for _, vci, _ in ref]
+        assert vcis != sorted(vcis)  # the two circuits really interleave
+
+    def _overflow(self, fast_path, monkeypatch, queue_cells):
+        """A 4x faster input overruns a short output queue mid-train; with
+        one slot it overflows before the carry entry, on a cell that has
+        already arrived."""
+        monkeypatch.setattr(linkmod, "FAST_PATH_DEFAULT", fast_path)
+        sim = Simulator()
+        switch = Switch(sim, n_ports=2, output_queue_cells=queue_cells)
+        switch.add_route(0, 32, 1, 33)
+        got = []
+        switch.output_links[1].connect(lambda cell: got.append((sim.now, cell.vci, cell.seq)))
+        tx = linkmod.Link(sim, bandwidth_bps=4 * linkmod.TAXI_140_BPS)
+        tx.connect(switch.input_sink(0), train_sink=switch.input_train_sink(0))
+        tx.put_train(segment_pdu(self.PAYLOAD, 32))
+        sim.run()
+        return got, switch
+
+    @pytest.mark.parametrize("queue_cells", [1, 4])
+    def test_queue_overflow_hands_the_rest_per_cell(self, monkeypatch, queue_cells):
+        from repro import obs
+
+        def observe(fast_path):
+            with obs.collecting() as col:
+                got, switch = self._overflow(fast_path, monkeypatch, queue_cells)
+            spans = sorted((s.t0, s.t1, s.name, s.layer, s.host) for s in col.spans)
+            return got, switch, spans, col.metrics.snapshot()
+
+        got, switch, spans, metrics = observe(True)
+        ref, ref_switch, ref_spans, ref_metrics = observe(False)
+        assert switch._carried
+        assert got == ref
+        assert (spans, metrics) == (ref_spans, ref_metrics)
+        drops = switch.output_links[1].cells_dropped
+        assert drops == ref_switch.output_links[1].cells_dropped > 0
+        assert switch.cells_switched == ref_switch.cells_switched
+
+    @pytest.mark.parametrize("teardown", [False, True])
+    def test_observations_identical_under_obs(self, arrivals, monkeypatch, teardown):
+        from repro import obs
+
+        when = self._instants(arrivals)[3] if teardown else None
+
+        def observe(fast_path):
+            with obs.collecting() as col:
+                got, switch, _ = self._run(fast_path, monkeypatch, teardown_at=when)
+            spans = sorted((s.t0, s.t1, s.name, s.layer, s.host) for s in col.spans)
+            return got, spans, col.metrics.snapshot(), bool(switch._carried)
+
+        got, spans, metrics, carried = observe(True)
+        ref, ref_spans, ref_metrics, _ = observe(False)
+        assert carried
+        assert got == ref
+        assert [s for s in spans if s[2] == "xbar"] == [s for s in ref_spans if s[2] == "xbar"]
+        assert spans == ref_spans
+        assert metrics == ref_metrics
